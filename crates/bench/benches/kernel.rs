@@ -1,6 +1,7 @@
 //! Faulty-evaluation kernels head to head: the generic per-gate
 //! interpreter vs the specialized SoA tape vs the differential
-//! dirty-frontier kernel, on a mid-size circuit and on a sampled slice
+//! dirty-frontier kernel vs the `auto` hybrid of the last two, on a
+//! mid-size circuit and on a sampled slice
 //! of the s5378-class scale fixture. Throughput is faults per second;
 //! the equivalence suites (not this bench) pin the digests.
 
@@ -23,7 +24,7 @@ fn bench_kernels_medium(c: &mut Criterion) {
     let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
     let mut g = c.benchmark_group("kernel_medium");
     g.throughput(Throughput::Elements(faults.len() as u64));
-    for kernel in Kernel::CONCRETE {
+    for kernel in Kernel::ALL {
         g.bench_function(BenchmarkId::new(kernel.label(), faults.len()), |b| {
             b.iter(|| grade_with(&circuit, &tb, &faults, kernel));
         });
@@ -37,7 +38,7 @@ fn bench_kernels_scale(c: &mut Criterion) {
     let faults = FaultList::sampled(circuit.num_ffs(), tb.num_cycles(), 512, 7);
     let mut g = c.benchmark_group("kernel_s5378g");
     g.throughput(Throughput::Elements(faults.len() as u64));
-    for kernel in Kernel::CONCRETE {
+    for kernel in Kernel::ALL {
         g.bench_function(BenchmarkId::new(kernel.label(), faults.len()), |b| {
             b.iter(|| grade_with(&circuit, &tb, &faults, kernel));
         });

@@ -98,6 +98,10 @@ pub struct EngineStats {
     pub threads: usize,
     /// Wall-clock nanoseconds spent grading (excluding golden-run setup).
     pub wall_ns: u128,
+    /// Chunks that left deviation space for the companion-lane tape
+    /// walk under the `auto` kernel (summed
+    /// [`GradeScratch::kernel_switches`](seugrade_faultsim::GradeScratch::kernel_switches)).
+    pub kernel_switches: u64,
 }
 
 impl EngineStats {
@@ -155,7 +159,13 @@ mod tests {
 
     #[test]
     fn stats_rates() {
-        let s = EngineStats { faults: 1000, shards: 16, threads: 4, wall_ns: 2_000_000_000 };
+        let s = EngineStats {
+            faults: 1000,
+            shards: 16,
+            threads: 4,
+            wall_ns: 2_000_000_000,
+            kernel_switches: 0,
+        };
         assert!((s.faults_per_sec() - 500.0).abs() < 1e-9);
         assert!((s.us_per_fault() - 2000.0).abs() < 1e-9);
         assert!(s.to_string().contains("4 threads"));
@@ -163,7 +173,7 @@ mod tests {
 
     #[test]
     fn stats_degenerate_cases() {
-        let s = EngineStats { faults: 0, shards: 0, threads: 1, wall_ns: 0 };
+        let s = EngineStats { faults: 0, shards: 0, threads: 1, wall_ns: 0, kernel_switches: 0 };
         assert_eq!(s.faults_per_sec(), 0.0);
         assert_eq!(s.us_per_fault(), 0.0);
     }

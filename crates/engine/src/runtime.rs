@@ -1,5 +1,6 @@
 //! The sharded campaign runtime.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use seugrade_faultsim::{
@@ -464,13 +465,16 @@ impl Engine {
         let start = Instant::now();
         let cache_root = WindowCache::shared(plan.window_cache());
         let bits_root = BitCache::shared(plan.window_cache());
+        let switches = AtomicU64::new(0);
         let accs: Vec<A> = run_folded(
             chunks.num_chunks(),
             threads,
             || self.streamed_scratch(plan, &cache_root, &bits_root),
             A::default,
             |a: &mut A, b| a.merge(b),
-            |scratch, acc: &mut A, i| self.grade_streamed_chunk(&chunks, scratch, acc, i, None),
+            |scratch, acc: &mut A, i| {
+                self.grade_streamed_chunk(&chunks, scratch, acc, i, None, &switches);
+            },
         )?;
         let merged = accs
             .into_iter()
@@ -484,6 +488,7 @@ impl Engine {
             shards: chunks.num_chunks(),
             threads: threads.min(chunks.num_chunks()).max(1),
             wall_ns: start.elapsed().as_nanos(),
+            kernel_switches: switches.into_inner(),
         };
         Ok((merged, stats))
     }
@@ -588,6 +593,7 @@ impl Engine {
         // rebuild must not throw replayed golden spans away.
         let cache_root = WindowCache::shared(plan.window_cache());
         let bits_root = BitCache::shared(plan.window_cache());
+        let switches = AtomicU64::new(0);
         while done < total_chunks {
             let budget = opts
                 .limit
@@ -610,7 +616,8 @@ impl Engine {
                         acc,
                         done + i,
                         opts.progress.as_ref(),
-                    )
+                        &switches,
+                    );
                 },
                 &ctl,
             )?;
@@ -657,6 +664,7 @@ impl Engine {
                 shards: done,
                 threads: threads.min(total_chunks.max(1)),
                 wall_ns: start.elapsed().as_nanos(),
+                kernel_switches: switches.into_inner(),
             },
             sink,
             chunks_done: done,
@@ -714,7 +722,8 @@ impl Engine {
     }
 
     /// Grades one chunk of the streamed plan into `acc`, reporting the
-    /// chunk's tallies through `progress` when a hook is installed.
+    /// chunk's tallies through `progress` when a hook is installed and
+    /// adding a kernel switch to `switches` if the chunk made one.
     fn grade_streamed_chunk<A: VerdictSink>(
         &self,
         chunks: &ChunkPlan<'_>,
@@ -722,10 +731,11 @@ impl Engine {
         acc: &mut A,
         i: usize,
         progress: Option<&ProgressHook>,
+        switches: &AtomicU64,
     ) {
         chunks.fill(i, buf);
         let out = &mut out[..buf.len()];
-        self.grader.grade_chunk(st, buf, out);
+        grade_counting_switches(&self.grader, st, buf, out, switches);
         for (&f, &o) in buf.iter().zip(out.iter()) {
             acc.observe(f, o);
         }
@@ -755,6 +765,7 @@ impl Engine {
         // so a span is replayed once per run, not once per worker.
         let cache_root = WindowCache::shared(cache_spans);
         let bits_root = BitCache::shared(cache_spans);
+        let switches = AtomicU64::new(0);
         let graded: Vec<(Vec<FaultOutcome>, GradingSummary)> = run_indexed(
             chunks.num_chunks(),
             threads,
@@ -770,7 +781,7 @@ impl Engine {
             |(st, buf): &mut _, i| {
                 chunks.fill(i, buf);
                 let mut out = vec![FaultOutcome::latent(); buf.len()];
-                self.grader.grade_chunk(st, buf, &mut out);
+                grade_counting_switches(&self.grader, st, buf, &mut out, &switches);
                 let summary = GradingSummary::from_outcomes(&out);
                 on_shard(ProgressEvent {
                     shard: i,
@@ -792,6 +803,7 @@ impl Engine {
             shards: chunks.num_chunks(),
             threads: threads.min(chunks.num_chunks()).max(1),
             wall_ns: start.elapsed().as_nanos(),
+            kernel_switches: switches.into_inner(),
         };
         (outcomes, summary, stats)
     }
@@ -845,8 +857,26 @@ impl Engine {
             shards: ranges.len(),
             threads: threads.min(ranges.len()).max(1),
             wall_ns: start.elapsed().as_nanos(),
+            kernel_switches: 0,
         };
         (outcomes, summary, stats)
+    }
+}
+
+/// [`Grader::grade_chunk`], adding the chunk's kernel switch (if it
+/// made one) to the run-wide `switches` tally.
+fn grade_counting_switches(
+    grader: &Grader,
+    scratch: &mut GradeScratch,
+    chunk: &[seugrade_faultsim::Fault],
+    out: &mut [FaultOutcome],
+    switches: &AtomicU64,
+) {
+    let before = scratch.kernel_switches();
+    grader.grade_chunk(scratch, chunk, out);
+    let switched = scratch.kernel_switches() - before;
+    if switched != 0 {
+        switches.fetch_add(switched, Ordering::Relaxed);
     }
 }
 
@@ -875,6 +905,33 @@ mod tests {
             assert_eq!(run.summary(), &GradingSummary::from_outcomes(&serial));
             assert_eq!(run.stats().threads, threads.min(run.stats().shards.max(1)));
         }
+    }
+
+    #[test]
+    fn every_run_path_counts_auto_kernel_switches() {
+        let circuit = registry::build("viper").unwrap();
+        let tb = Testbench::random(circuit.num_inputs(), 12, 5);
+        let plan_for = |kernel| {
+            CampaignPlan::builder(&circuit, &tb)
+                .trace_policy(TracePolicy::Checkpoint(4))
+                .kernel(kernel)
+                .threads(2)
+                .build()
+        };
+        let auto = plan_for(Kernel::Auto);
+        let engine = Engine::new(&auto);
+        let materialized = engine.run(&auto).stats().kernel_switches;
+        let streamed = engine.run_streamed(&auto).stats().kernel_switches;
+        let resumable = engine
+            .run_streamed_resumable(&auto, &ResumeOptions::default())
+            .unwrap()
+            .stats
+            .kernel_switches;
+        assert!(materialized > 0, "viper's cones flood under auto");
+        assert_eq!(streamed, materialized);
+        assert_eq!(resumable, materialized);
+        let differential = plan_for(Kernel::Differential);
+        assert_eq!(engine.run_streamed(&differential).stats().kernel_switches, 0);
     }
 
     #[test]

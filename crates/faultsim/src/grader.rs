@@ -16,6 +16,14 @@ use crate::{Fault, FaultClass, FaultOutcome};
 /// memory stays `O(FFs × K)`.
 pub const DEFAULT_WINDOW_CACHE_SPANS: usize = 8;
 
+/// A [`Kernel::Auto`] chunk leaves deviation space for good once one
+/// cycle's deviation cone covers more than `1 / FLOODED_CONE_DIVISOR`
+/// of the netlist's gates: from then on the cone walk costs more than
+/// the full-evaluation tape it was meant to undercut. At 1/8 long
+/// latent tails switch too early and pay full-netlist cost to the
+/// horizon; at 1/2 flooded chunks stay in the slower walk too long.
+const FLOODED_CONE_DIVISOR: usize = 4;
+
 /// When a decided fault lane stops being simulated — the paper's
 /// mask-scan early-abort knob.
 ///
@@ -84,6 +92,7 @@ pub struct GradeScratch {
     kernel: Kernel,
     diff: DiffScratch,
     bits: BitCache,
+    kernel_switches: u64,
 }
 
 impl GradeScratch {
@@ -136,6 +145,14 @@ impl GradeScratch {
     #[must_use]
     pub fn sim_steps(&self) -> u64 {
         self.sim_steps
+    }
+
+    /// Chunks graded through this scratch that left deviation space:
+    /// [`Kernel::Auto`] chunks whose deviation cone flooded the netlist
+    /// and which finished on the companion-lane tape walk.
+    #[must_use]
+    pub fn kernel_switches(&self) -> u64 {
+        self.kernel_switches
     }
 }
 
@@ -438,6 +455,7 @@ impl Grader {
             kernel: Kernel::Auto,
             diff: self.sim.new_diff_scratch(),
             bits: BitCache::new(cache_spans),
+            kernel_switches: 0,
         }
     }
 
@@ -456,6 +474,7 @@ impl Grader {
             kernel: Kernel::Auto,
             diff: self.sim.new_diff_scratch(),
             bits,
+            kernel_switches: 0,
         }
     }
 
@@ -463,6 +482,11 @@ impl Grader {
     /// [`GradeScratch`]: the scratch's window cache shares replayed
     /// golden spans across chunks, its collapse mode decides whether
     /// decided chunks stop early, and its counters record the work done.
+    ///
+    /// Under [`Kernel::Auto`] every chunk starts in the differential
+    /// walk and, if its deviation cone floods the netlist while lane 63
+    /// is free, finishes on the companion-lane tape walk (see
+    /// [`GradeScratch::kernel_switches`]).
     ///
     /// # Panics
     ///
@@ -474,12 +498,13 @@ impl Grader {
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
-        let GradeScratch { st, cache, collapse, sim_steps, kernel, diff, bits } = scratch;
-        match kernel.resolve() {
-            Kernel::Differential => {
-                self.grade_chunk_diff(diff, bits, *collapse, sim_steps, chunk, out);
+        match scratch.kernel {
+            Kernel::Auto => self.grade_chunk_diff(scratch, true, chunk, out),
+            Kernel::Differential => self.grade_chunk_diff(scratch, false, chunk, out),
+            k => {
+                let GradeScratch { st, cache, collapse, sim_steps, .. } = scratch;
+                self.grade_chunk_inner(st, cache, *collapse, sim_steps, k, chunk, out);
             }
-            k => self.grade_chunk_inner(st, cache, *collapse, sim_steps, k, chunk, out),
         }
     }
 
@@ -528,9 +553,15 @@ impl Grader {
         let (t, lanes_used) = self.validate_chunk(chunk, out);
         let n_cycles = self.tb.num_cycles();
         if matches!(self.policy, TracePolicy::Checkpoint(_)) && chunk.len() < 64 {
-            self.grade_chunk_companion(
-                st, cache, collapse, sim_steps, kernel, chunk, out, lanes_used,
-            );
+            // Only the injection-cycle state comes from the golden trace
+            // (one span, served by the cache and shared with the chunk's
+            // cycle-major neighbours); lane 63 carries golden from here.
+            let win = self.first_window_cached(t, cache);
+            self.sim.load_state(st, win.state_at(t));
+            for (lane, f) in chunk.iter().enumerate() {
+                self.sim.flip_ff_lane(st, f.ff, lane as u32);
+            }
+            self.companion_walk(st, collapse, sim_steps, kernel, out, lanes_used, t);
             return;
         }
 
@@ -595,47 +626,40 @@ impl Grader {
         }
     }
 
-    /// The golden-companion fast path for checkpointed chunks of at most
-    /// 63 faults: lane 63 is loaded with the golden state like every
-    /// other lane but never gets a fault flipped in, so it *is* the
-    /// golden machine, advanced for free by the same bit-parallel pass.
-    /// Per-cycle comparison then reduces to XOR-ing each signal word
-    /// against its own lane 63 broadcast (an arithmetic shift) — no
-    /// window replay, no window memory, regardless of how far a latent
-    /// tail walks. Only the injection-cycle state is fetched from the
-    /// golden trace (one span, served by the cache and shared with the
-    /// chunk's cycle-major neighbours).
+    /// The golden-companion walk over cycles `from..`: lane 63 of `st`
+    /// holds the golden state at `from` like every other lane but never
+    /// carries a fault, so it *is* the golden machine, advanced for free
+    /// by the same bit-parallel pass. Per-cycle comparison then reduces
+    /// to XOR-ing each signal word against its own lane 63 broadcast (an
+    /// arithmetic shift) — no window replay, no window memory, however
+    /// far a latent tail walks.
+    ///
+    /// Two paths hand over to it: checkpointed chunks of at most 63
+    /// faults start here right after injection, and flooded
+    /// [`Kernel::Auto`] chunks resume here from deviation space. Only
+    /// the `undecided` lanes are still graded.
     ///
     /// Verdicts are bit-identical to the windowed path: the compiled
     /// simulator is deterministic per lane, so lane 63 carries exactly
-    /// the bits a replayed window would, and `lanes_used` keeps lane 63
-    /// out of every verdict mask.
+    /// the bits a replayed window would, and `undecided` never holds
+    /// lane 63.
     #[allow(clippy::too_many_arguments)]
-    fn grade_chunk_companion(
+    fn companion_walk(
         &self,
         st: &mut SimState,
-        cache: &mut WindowCache,
         collapse: Collapse,
         sim_steps: &mut u64,
         kernel: Kernel,
-        chunk: &[Fault],
         out: &mut [FaultOutcome],
-        lanes_used: u64,
+        mut undecided: u64,
+        from: usize,
     ) {
-        let t = chunk[0].cycle as usize;
+        debug_assert_eq!(undecided >> 63, 0, "lane 63 is the golden companion");
         let n_cycles = self.tb.num_cycles();
         let num_ffs = self.sim.num_ffs();
-        {
-            let win = self.first_window_cached(t, cache);
-            self.sim.load_state(st, win.state_at(t));
-        }
-        for (lane, f) in chunk.iter().enumerate() {
-            self.sim.flip_ff_lane(st, f.ff, lane as u32);
-        }
         // Broadcast of a word's golden (lane 63) bit to all 64 lanes.
         let golden = |word: u64| ((word as i64) >> 63) as u64;
-        let mut undecided = lanes_used;
-        for u in t..n_cycles {
+        for u in from..n_cycles {
             self.sim.set_inputs(st, self.tb.cycle(u));
             self.eval_faulty(st, kernel);
             *sim_steps += 1;
@@ -712,17 +736,32 @@ impl Grader {
     /// failures are claimed before same-cycle silences, each lane
     /// records its first event only, and `sim_steps` counts one per
     /// walked cycle.
+    ///
+    /// With `hybrid` set (the [`Kernel::Auto`] walk) a chunk whose
+    /// lane 63 is free leaves deviation space for good once a cycle's
+    /// cone floods the netlist (see [`FLOODED_CONE_DIVISOR`]): cycle
+    /// `u`'s verdicts are claimed first, then the faulty flip-flops are
+    /// rebuilt as `golden ⊕ dev` at cycle `u + 1` and the
+    /// [`companion_walk`](Self::companion_walk) finishes the chunk.
     fn grade_chunk_diff(
         &self,
-        sc: &mut DiffScratch,
-        bits: &mut BitCache,
-        collapse: Collapse,
-        sim_steps: &mut u64,
+        scratch: &mut GradeScratch,
+        hybrid: bool,
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
+        let GradeScratch { st, collapse, sim_steps, diff: sc, bits, kernel_switches, .. } =
+            scratch;
+        let collapse = *collapse;
         let (t, lanes_used) = self.validate_chunk(chunk, out);
         let n_cycles = self.tb.num_cycles();
+        // A 64-lane chunk has no free lane for the golden companion, so
+        // it stays in deviation space.
+        let flood_limit = if hybrid && chunk.len() < 64 {
+            self.sim.num_instrs() / FLOODED_CONE_DIVISOR
+        } else {
+            usize::MAX
+        };
         for (lane, f) in chunk.iter().enumerate() {
             self.sim.diff_seed(sc, f.ff, lane as u32);
         }
@@ -754,6 +793,15 @@ impl Grader {
             }
             if undecided == 0 && collapse == Collapse::Early {
                 break;
+            }
+            if sc.cone_gates() > flood_limit && u + 1 < n_cycles {
+                if u + 1 >= span.end() {
+                    span = self.bit_span_for(u + 1, bits);
+                }
+                self.sim.diff_materialize(sc, &span, u + 1, st);
+                *kernel_switches += 1;
+                self.companion_walk(st, collapse, sim_steps, Kernel::Tape, out, undecided, u + 1);
+                return;
             }
         }
         self.sim.diff_reset(sc);
@@ -1200,7 +1248,7 @@ mod tests {
             for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(4)] {
                 let g = Grader::with_policy(&n, &tb, policy);
                 let reference = g.run_serial(faults.as_slice());
-                for kernel in Kernel::CONCRETE {
+                for kernel in Kernel::ALL {
                     for collapse in [Collapse::Early, Collapse::Horizon] {
                         let mut scratch =
                             g.new_scratch(collapse, 4).with_kernel(kernel);
@@ -1237,9 +1285,11 @@ mod tests {
         let n = generators::lfsr(12, &[11, 9, 7, 4]);
         let tb = Testbench::random(0, 64, 9);
         let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(8));
+        // Pinned to the differential kernel: under `Auto` this flooding
+        // LFSR chunk would hand over to the companion-lane tape walk.
         // Early collapse decides the chunk inside its first span: one
         // bit-span replay, no value windows.
-        let mut scratch = g.new_scratch(Collapse::Early, 16);
+        let mut scratch = g.new_scratch(Collapse::Early, 16).with_kernel(Kernel::Differential);
         let mut out = [FaultOutcome::latent(); 2];
         let chunk = [Fault::new(FfIndex::new(0), 10), Fault::new(FfIndex::new(3), 10)];
         g.grade_chunk(&mut scratch, &chunk, &mut out);
@@ -1247,7 +1297,7 @@ mod tests {
         assert_eq!(scratch.cache().misses(), 0, "no value windows fetched");
         // A horizon walk from cycle 10 crosses spans 8..16 through
         // 56..64: 7 distinct spans replayed into a fresh cache.
-        let mut horizon = g.new_scratch(Collapse::Horizon, 16);
+        let mut horizon = g.new_scratch(Collapse::Horizon, 16).with_kernel(Kernel::Differential);
         g.grade_chunk(&mut horizon, &chunk, &mut out);
         assert_eq!(horizon.bit_cache().misses(), 7);
         // Re-walking the same chunk hits every span.
@@ -1256,9 +1306,142 @@ mod tests {
         assert_eq!(horizon.bit_cache().hits(), 7);
     }
 
+    /// `n` flip-flops under a prefix-XOR next-state map (invertible, so
+    /// a flip never reconverges) with only the last one observed, gated
+    /// by an input: a flip of an early flip-flop floods the XOR chain
+    /// the cycle it is injected, yet cannot fail before the next cycle.
+    fn flood_chain(n: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("flood");
+        let en = b.input("en");
+        let qs: Vec<_> = (0..n).map(|i| b.dff(i % 3 == 0)).collect();
+        let mut acc = qs[0];
+        let mut next = vec![qs[0]];
+        for &q in &qs[1..] {
+            acc = b.xor2(acc, q);
+            next.push(acc);
+        }
+        for (&q, &d) in qs.iter().zip(&next) {
+            b.connect_dff(q, d).unwrap();
+        }
+        let y = b.and2(qs[n - 1], en);
+        b.output("y", y);
+        b.finish().unwrap()
+    }
+
+    /// Grades `chunk` under `Auto`, `Differential` and `Tape` in both
+    /// collapse modes, asserting identical verdicts and walked cycles;
+    /// returns `Auto`'s kernel switches (early, horizon) and its
+    /// bit-span misses under early collapse.
+    fn auto_against_fixed_kernels(g: &Grader, chunk: &[Fault]) -> ((u64, u64), u64) {
+        let mut switches = [0u64; 2];
+        let mut auto_misses = 0;
+        for (ci, collapse) in [Collapse::Early, Collapse::Horizon].into_iter().enumerate() {
+            let mut graded = Vec::new();
+            for kernel in [Kernel::Auto, Kernel::Differential, Kernel::Tape] {
+                let mut scratch = g.new_scratch(collapse, 8).with_kernel(kernel);
+                let mut out = vec![FaultOutcome::latent(); chunk.len()];
+                g.grade_chunk(&mut scratch, chunk, &mut out);
+                graded.push((kernel, out, scratch));
+            }
+            let (_, auto_out, auto) = &graded[0];
+            for (kernel, out, scratch) in &graded[1..] {
+                assert_eq!(auto_out, out, "auto vs {kernel} verdicts, collapse {}", collapse.label());
+                assert_eq!(
+                    auto.sim_steps(),
+                    scratch.sim_steps(),
+                    "auto vs {kernel} walked cycles, collapse {}",
+                    collapse.label()
+                );
+                assert_eq!(scratch.kernel_switches(), 0, "{kernel} never switches");
+            }
+            switches[ci] = auto.kernel_switches();
+            if collapse == Collapse::Early {
+                auto_misses = auto.bit_cache().misses();
+            }
+        }
+        ((switches[0], switches[1]), auto_misses)
+    }
+
+    fn same_cycle_chunk(ffs: std::ops::Range<usize>, t: u32) -> Vec<Fault> {
+        ffs.map(|ff| Fault::new(FfIndex::new(ff), t)).collect()
+    }
+
+    #[test]
+    fn auto_switch_on_a_span_boundary_fetches_the_next_span() {
+        use seugrade_sim::TracePolicy;
+        let n = flood_chain(16);
+        let tb = Testbench::random(1, 32, 21);
+        let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(8));
+        // Injected in the last cycle of span 0..8: the chunk floods at
+        // once, so its tape walk resumes at 8 == span.end().
+        let (switches, misses) = auto_against_fixed_kernels(&g, &same_cycle_chunk(0..8, 7));
+        assert_eq!(switches, (1, 1));
+        assert_eq!(misses, 2, "span 0..8 for the cone walk, 8..16 for the hand-over");
+        // The same chunk mid-span switches inside its first span.
+        let (switches, misses) = auto_against_fixed_kernels(&g, &same_cycle_chunk(0..8, 3));
+        assert_eq!(switches, (1, 1));
+        assert_eq!(misses, 1);
+    }
+
+    #[test]
+    fn auto_never_switches_past_the_last_cycle() {
+        use seugrade_sim::TracePolicy;
+        let n = flood_chain(16);
+        let tb = Testbench::random(1, 32, 21);
+        let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(8));
+        // Flooded in the last cycle: there is no cycle left to hand
+        // over, so the chunk ends in deviation space.
+        let (switches, _) = auto_against_fixed_kernels(&g, &same_cycle_chunk(0..8, 31));
+        assert_eq!(switches, (0, 0));
+        // One cycle earlier the hand-over walks exactly the last cycle.
+        let (switches, _) = auto_against_fixed_kernels(&g, &same_cycle_chunk(0..8, 30));
+        assert_eq!(switches, (1, 1));
+    }
+
+    #[test]
+    fn full_dense_chunk_stays_in_deviation_space() {
+        let n = flood_chain(80);
+        let tb = Testbench::random(1, 24, 5);
+        let g = Grader::new(&n, &tb);
+        assert_eq!(g.chunk_lanes(), 64);
+        // 64 lanes leave no lane for the golden companion.
+        let (switches, _) = auto_against_fixed_kernels(&g, &same_cycle_chunk(0..64, 2));
+        assert_eq!(switches, (0, 0));
+        // One lane fewer frees lane 63, and the flooded chunk switches.
+        let (switches, _) = auto_against_fixed_kernels(&g, &same_cycle_chunk(0..63, 2));
+        assert_eq!(switches, (1, 1));
+    }
+
+    #[test]
+    fn auto_switches_on_the_paper_circuit() {
+        use seugrade_sim::TracePolicy;
+        let n = seugrade_circuits::registry::build("viper").unwrap();
+        let tb = Testbench::random(n.num_inputs(), 160, 1);
+        let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(64));
+        let mut auto = g.new_scratch(Collapse::Early, 4);
+        let mut tape = g.new_scratch(Collapse::Early, 4).with_kernel(Kernel::Tape);
+        let (mut a, mut b) = ([FaultOutcome::latent(); 64], [FaultOutcome::latent(); 64]);
+        let mut chunks = 0;
+        for t in [0, 63, 100] {
+            let faults = same_cycle_chunk(0..n.num_ffs(), t);
+            for chunk in faults.chunks(g.chunk_lanes()) {
+                g.grade_chunk(&mut auto, chunk, &mut a[..chunk.len()]);
+                g.grade_chunk(&mut tape, chunk, &mut b[..chunk.len()]);
+                assert_eq!(a[..chunk.len()], b[..chunk.len()], "cycle {t}");
+                chunks += 1;
+            }
+        }
+        assert_eq!(auto.sim_steps(), tape.sim_steps());
+        assert!(
+            auto.kernel_switches() > 0 && auto.kernel_switches() <= chunks,
+            "{} of {chunks} chunks switched",
+            auto.kernel_switches()
+        );
+    }
+
     #[test]
     fn kernel_labels_round_trip() {
-        for k in [Kernel::Auto, Kernel::Generic, Kernel::Tape, Kernel::Differential] {
+        for k in Kernel::ALL {
             assert_eq!(Kernel::from_label(k.label()), Some(k));
         }
         assert_eq!(Kernel::default(), Kernel::Auto);

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use seugrade_netlist::FfIndex;
 
-use crate::{tape, CompiledSim, GoldenTrace, Testbench};
+use crate::{tape, CompiledSim, GoldenTrace, SimState, Testbench};
 
 /// Golden internal values for a contiguous cycle span, bit-packed: one
 /// bit per cell per cycle.
@@ -272,6 +272,8 @@ pub struct DiffScratch {
     dirty: Vec<u64>,
     /// Two-phase flip-flop transfer buffer: `(q_slot, deviation)`.
     ff_updates: Vec<(u32, u64)>,
+    /// Gates the last [`diff_cycle`](CompiledSim::diff_cycle) drained.
+    cone_gates: usize,
 }
 
 impl DiffScratch {
@@ -279,6 +281,15 @@ impl DiffScratch {
     #[must_use]
     pub fn active_signals(&self) -> usize {
         self.touched.len()
+    }
+
+    /// Gates the last [`diff_cycle`](CompiledSim::diff_cycle) evaluated:
+    /// the size of that cycle's deviation cone. Compared against
+    /// [`num_instrs`](CompiledSim::num_instrs) it tells how much of the
+    /// netlist a cycle's faults have flooded.
+    #[must_use]
+    pub fn cone_gates(&self) -> usize {
+        self.cone_gates
     }
 }
 
@@ -291,6 +302,7 @@ impl CompiledSim {
             touched: Vec::new(),
             dirty: vec![0u64; self.instrs.len().div_ceil(64)],
             ff_updates: Vec::new(),
+            cone_gates: 0,
         }
     }
 
@@ -330,7 +342,7 @@ impl CompiledSim {
             span.start(),
             span.end()
         );
-        let DiffScratch { dev, touched, dirty, ff_updates } = sc;
+        let DiffScratch { dev, touched, dirty, ff_updates, cone_gates } = sc;
         let row = span.row(t);
         // Seed the frontier: every gate reading a deviant signal. Track
         // the word range the frontier spans so the drain scan below
@@ -350,6 +362,7 @@ impl CompiledSim {
         // always exceeds its producers', so each popped gate sees final
         // operand deviations and is evaluated exactly once.
         let mut w = lo;
+        let mut drained = 0usize;
         while w <= hi {
             let word = dirty[w];
             if word == 0 {
@@ -358,6 +371,7 @@ impl CompiledSim {
             }
             let bit = word.trailing_zeros();
             dirty[w] &= !(1u64 << bit);
+            drained += 1;
             let pos = w * 64 + bit as usize;
             let instr = &self.instrs[pos];
             let pins = &self.pin_pool
@@ -378,6 +392,7 @@ impl CompiledSim {
                 }
             }
         }
+        *cone_gates = drained;
         let mut out_diff = 0u64;
         for &o in &self.outputs {
             out_diff |= dev[o as usize];
@@ -406,6 +421,36 @@ impl CompiledSim {
             }
         }
         (out_diff, state_diff)
+    }
+
+    /// Leaves deviation space: writes every flip-flop slot of `st` as
+    /// the golden state at (absolute) cycle `t` XOR its deviation word,
+    /// then clears the deviations.
+    ///
+    /// Call between cycles, after [`diff_cycle`](Self::diff_cycle) for
+    /// cycle `t - 1`, when only flip-flop slots carry deviations. A lane
+    /// that was never seeded carries no deviation, so it comes out as
+    /// the golden machine itself — the companion lane a full-evaluation
+    /// walk compares against.
+    pub fn diff_materialize(
+        &self,
+        sc: &mut DiffScratch,
+        span: &BitSpan,
+        t: usize,
+        st: &mut SimState,
+    ) {
+        debug_assert!(
+            t >= span.start() && t < span.end(),
+            "cycle {t} outside bit span {}..{}",
+            span.start(),
+            span.end()
+        );
+        let row = span.row(t);
+        for &slot in &self.ffs {
+            let slot = slot as usize;
+            st.values[slot] = BitSpan::word_in_row(row, slot) ^ sc.dev[slot];
+        }
+        self.diff_reset(sc);
     }
 
     /// Clears all deviations, returning the scratch to the all-clean
@@ -636,6 +681,59 @@ mod tests {
         assert_eq!(diffs[3], (0, 0));
         assert_eq!(diffs[4], (0, 0));
         assert_eq!(sc.active_signals(), 0, "no lingering deviations");
+        assert_eq!(sc.cone_gates(), 0, "a clean cycle evaluates nothing");
+    }
+
+    #[test]
+    fn materialized_state_matches_the_full_lane_run() {
+        let n = gadget();
+        let sim = crate::CompiledSim::new(&n);
+        let tb = Testbench::random(1, 20, 3);
+        let trace = sim.run_golden(&tb);
+        // 8-cycle bit spans, so the switch cycles below land inside a
+        // span, on a span start, and in the last cycle.
+        let span_of = |t: usize, cache: &mut BitCache| {
+            let start = t - t % 8;
+            trace.bit_span_cached(&sim, &tb, start, (start + 8).min(20), cache)
+        };
+        let mut cache = BitCache::new(4);
+        let mut sc = sim.new_diff_scratch();
+        for ff in 0..sim.num_ffs() {
+            for (inject, switch) in [(0usize, 3usize), (5, 8), (9, 19)] {
+                // Reference: the flip applied in lanes 1 and 5 of a
+                // full 64-lane run, advanced to the switch cycle.
+                let mut reference = sim.new_state();
+                for t in 0..switch {
+                    if t == inject {
+                        sim.flip_ff_lane(&mut reference, FfIndex::new(ff), 1);
+                        sim.flip_ff_lane(&mut reference, FfIndex::new(ff), 5);
+                    }
+                    sim.cycle(&mut reference, tb.cycle(t));
+                }
+                sim.diff_seed(&mut sc, FfIndex::new(ff), 1);
+                sim.diff_seed(&mut sc, FfIndex::new(ff), 5);
+                for t in inject..switch {
+                    let _ = sim.diff_cycle(&mut sc, &span_of(t, &mut cache), t);
+                }
+                let span = span_of(switch, &mut cache);
+                let mut st = sim.new_state();
+                sim.diff_materialize(&mut sc, &span, switch, &mut st);
+                assert_eq!(sc.active_signals(), 0, "deviations cleared");
+                for f in 0..sim.num_ffs() {
+                    let f = FfIndex::new(f);
+                    assert_eq!(
+                        sim.ff_raw(&st, f),
+                        sim.ff_raw(&reference, f),
+                        "ff {ff} inject {inject} switch {switch}: {f:?}"
+                    );
+                    assert_eq!(
+                        sim.ff_raw(&st, f) >> 63 & 1 == 1,
+                        trace.state_at(switch)[f.index()],
+                        "lane 63 is the golden machine"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

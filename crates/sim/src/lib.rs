@@ -94,10 +94,19 @@ pub use trace::{GoldenTrace, TracePolicy, TraceWindow, WindowCache};
 /// - [`Differential`](Kernel::Differential) — deviation-cone evaluation:
 ///   only gates reachable from the dirty frontier run, and an empty
 ///   frontier proves reconvergence without a register scan.
-/// - [`Auto`](Kernel::Auto) — currently resolves to `Differential`.
+/// - [`Auto`](Kernel::Auto) — a per-chunk hybrid of the two. Every chunk
+///   starts in the differential walk; once one cycle's cone evaluates
+///   more than 1/4 of the netlist's gates, the chunk leaves deviation
+///   space for good and finishes on the full-evaluation tape, with
+///   lane 63 as the golden companion. A chunk that fills all 64 lanes
+///   has no lane for the companion and stays differential. The
+///   threshold is one-way and measured: at 1/8 sampled `s5378g`
+///   campaigns lost ~30% of their throughput (latent tails switched
+///   early and paid full-netlist cost to the horizon); at 1/2 the
+///   exhaustive `viper` campaign lost ~5% against 1/4.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Let the grader pick (currently [`Differential`](Kernel::Differential)).
+    /// Differential, handing flooded chunks over to the tape walk.
     #[default]
     Auto,
     /// Per-instruction interpreter, full evaluation.
@@ -112,6 +121,11 @@ impl Kernel {
     /// Every concrete (non-`Auto`) kernel — the axis the equivalence
     /// suites and bench sweeps iterate over.
     pub const CONCRETE: [Kernel; 3] = [Kernel::Generic, Kernel::Tape, Kernel::Differential];
+
+    /// Every kernel, `Auto` included — whose chunks may switch kernel
+    /// mid-walk, so it needs pinning alongside the concrete ones.
+    pub const ALL: [Kernel; 4] =
+        [Kernel::Generic, Kernel::Tape, Kernel::Differential, Kernel::Auto];
 
     /// Parses a kernel label: `auto`, `generic`, `tape` or
     /// `differential`. The inverse of [`label`](Self::label).
@@ -137,7 +151,8 @@ impl Kernel {
         }
     }
 
-    /// Resolves `Auto` to the kernel it currently selects.
+    /// Resolves `Auto` to the kernel every `Auto` chunk starts in (and
+    /// whose golden source it grades against): `Differential`.
     #[must_use]
     pub fn resolve(self) -> Self {
         match self {

@@ -21,8 +21,13 @@ fn golden_checkpoint_text() -> String {
         .policy(ShardPolicy { threads: 1, serial_below: 0 })
         .build();
     let engine = Engine::new(&plan);
+    // One file per call: the proptest cases of several tests call this
+    // concurrently, and a shared path lets one call read another's
+    // half-written or already-removed checkpoint.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path = std::env::temp_dir()
-        .join(format!("seugrade-hostile-golden-{}.ckpt", std::process::id()));
+        .join(format!("seugrade-hostile-golden-{}-{call}.ckpt", std::process::id()));
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(3);
     opts.meta = vec![("target".to_owned(), "lfsr8".to_owned())];

@@ -1,7 +1,8 @@
 //! The faulty-evaluation kernel is a pure speed knob: the generic
-//! per-gate interpreter, the specialized SoA tape and the differential
-//! dirty-frontier kernel must grade every fault to the identical
-//! verdict. This battery pins all three to bit-identical
+//! per-gate interpreter, the specialized SoA tape, the differential
+//! dirty-frontier kernel and the `auto` hybrid (differential, handing
+//! flooded chunks to the tape walk) must grade every fault to the
+//! identical verdict. This battery pins all four to bit-identical
 //! order-independent digests across the whole registry, every trace
 //! policy, collapse on/off and 1/2/4/8 worker threads — and repeats the
 //! claim on generated random circuits.
@@ -20,8 +21,8 @@ fn cycle_budget(num_ffs: usize) -> usize {
     }
 }
 
-/// Every registry circuit, graded under every concrete kernel, every
-/// trace policy, both collapse modes and 1/2/4/8 threads, lands on the
+/// Every registry circuit, graded under every kernel, every trace
+/// policy, both collapse modes and 1/2/4/8 threads, lands on the
 /// serial reference digest bit for bit.
 #[test]
 fn kernels_agree_on_every_registry_circuit() {
@@ -40,7 +41,7 @@ fn kernels_agree_on_every_registry_circuit() {
         let dense = Grader::new(&circuit, &tb);
         let reference =
             StreamAccumulator::digest_of(faults.as_slice(), &dense.run_serial(faults.as_slice()));
-        for kernel in Kernel::CONCRETE {
+        for kernel in Kernel::ALL {
             for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(3), TracePolicy::Checkpoint(64)] {
                 for collapse in [Collapse::Early, Collapse::Horizon] {
                     for threads in [1usize, 2, 4, 8] {
@@ -98,7 +99,7 @@ fn auto_kernel_matches_every_concrete_kernel() {
 fn kernel_does_not_perturb_the_resume_fingerprint() {
     let circuit = registry::build("b06s").expect("registered");
     let tb = Testbench::random(circuit.num_inputs(), 16, 9);
-    let fingerprints: Vec<Fingerprint> = Kernel::CONCRETE
+    let fingerprints: Vec<Fingerprint> = Kernel::ALL
         .iter()
         .map(|&kernel| {
             let plan = CampaignPlan::builder(&circuit, &tb).kernel(kernel).build();
@@ -126,8 +127,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Generated circuits — arbitrary gate mixes, fanout shapes and
-    /// observability — grade to the identical digest under all three
-    /// concrete kernels, checkpointed and multi-threaded.
+    /// observability — grade to the identical digest under every
+    /// kernel, checkpointed and multi-threaded.
     #[test]
     fn kernels_agree_on_generated_circuits(
         config in arb_config(),
@@ -140,7 +141,7 @@ proptest! {
         let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
         let serial = Grader::new(&circuit, &tb).run_serial(faults.as_slice());
         let reference = StreamAccumulator::digest_of(faults.as_slice(), &serial);
-        for kernel in Kernel::CONCRETE {
+        for kernel in Kernel::ALL {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .trace_policy(TracePolicy::Checkpoint(k))
                 .kernel(kernel)
