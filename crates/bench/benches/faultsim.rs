@@ -1,4 +1,5 @@
-//! Fault-simulation engines: serial vs 64-way bit-parallel vs threaded.
+//! Fault-simulation engines: serial vs 64-way bit-parallel vs the
+//! sharded engine on four threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use seugrade::prelude::*;
@@ -16,8 +17,10 @@ fn bench_engines(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("parallel64", faults.len()), |b| {
         b.iter(|| grader.run_parallel(faults.as_slice()));
     });
-    g.bench_function(BenchmarkId::new("parallel64x4", faults.len()), |b| {
-        b.iter(|| grader.run_parallel_threaded(faults.as_slice(), 4));
+    let plan = CampaignPlan::builder(&circuit, &tb).threads(4).build();
+    let engine = Engine::new(&plan);
+    g.bench_function(BenchmarkId::new("engine64x4", faults.len()), |b| {
+        b.iter(|| engine.run(&plan));
     });
     g.finish();
 }

@@ -1,8 +1,7 @@
-//! Faulty-evaluation kernels head to head: the generic per-gate
-//! interpreter vs the specialized SoA tape vs the differential
-//! dirty-frontier kernel vs the `auto` hybrid of the last two, on a
-//! mid-size circuit and on a sampled slice
-//! of the s5378-class scale fixture. Throughput is faults per second;
+//! Faulty-evaluation kernels head to head: the specialized SoA tape vs
+//! the differential dirty-frontier kernel vs the `auto` hybrid of the
+//! two, on a mid-size circuit and on a sampled slice of the s5378-class
+//! scale fixture. Throughput is faults per second;
 //! the equivalence suites (not this bench) pin the digests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

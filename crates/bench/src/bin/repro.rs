@@ -27,10 +27,9 @@
 //! 1024}, reports the fastest policy against dense, and re-measures
 //! the winner with early fault collapse inverted (`--collapse on|off`
 //! picks the mode for every other row). The grade rows always end with
-//! two single-core **kernel sweeps** — `generic` vs `tape` vs
-//! `differential` vs `auto` over the exhaustive s5378g space, and
-//! `tape` vs `differential` vs `auto` over the paper's viper @160
-//! setup, digests asserted identical — and one s38417g-class (~10k FF)
+//! two single-core **kernel sweeps** — `tape` vs `differential` vs
+//! `auto` over the exhaustive s5378g space and over the paper's viper
+//! @160 setup, digests asserted identical — and one s38417g-class (~10k FF)
 //! scale row. It is
 //! deliberately *not* part of `all`: wall-clock measurement deserves an
 //! unloaded machine.
@@ -98,7 +97,7 @@ struct Options {
     /// in `bench` and report the fastest policy.
     trace_policy_auto: bool,
     collapse: Collapse,
-    /// `--kernel auto|generic|tape|differential`: the faulty-evaluation
+    /// `--kernel auto|tape|differential`: the faulty-evaluation
     /// kernel workers grade with (a pure speed knob; verdicts and
     /// digests never change).
     kernel: Kernel,
@@ -202,7 +201,7 @@ fn main() {
                     std::process::exit(2);
                 });
                 opts.kernel = Kernel::from_label(&v).unwrap_or_else(|| {
-                    eprintln!("--kernel expects auto|generic|tape|differential, got `{v}`");
+                    eprintln!("--kernel expects auto|tape|differential, got `{v}`");
                     std::process::exit(2);
                 });
             }
@@ -305,7 +304,7 @@ fn main() {
             eprintln!(
                 "usage: repro -- grade <file-or-registry-name> [--format bench|blif|snl|verilog|vhdl] \
                  [--threads N] [--vectors N] [--seed S] [--trace-policy dense|checkpoint:K] \
-                 [--kernel auto|generic|tape|differential] [--sample N] [--checkpoint PATH] \
+                 [--kernel auto|tape|differential] [--sample N] [--checkpoint PATH] \
                  [--checkpoint-every N]"
             );
             std::process::exit(2);

@@ -79,7 +79,7 @@ pub struct GradeRecord {
     /// Additive `seugrade-grade-bench/v1` field: appended after the v1
     /// columns so existing consumers are unaffected.
     pub collapse: String,
-    /// Faulty-evaluation kernel label (`auto` / `generic` / `tape` /
+    /// Faulty-evaluation kernel label (`auto` / `tape` /
     /// `differential`) the row was measured under. Additive field,
     /// appended after `collapse`.
     pub kernel: String,

@@ -3,7 +3,7 @@
 //! Until this module existed the engine had exactly two failure modes:
 //! panic (worker died, poisoning the whole campaign) or silence. A
 //! multi-hour campaign deserves better — every fault-tolerant entry
-//! point ([`Engine::try_run_streamed`](crate::Engine::try_run_streamed),
+//! point ([`Engine::try_run_streamed_with`](crate::Engine::try_run_streamed_with),
 //! [`Engine::run_streamed_resumable`](crate::Engine::run_streamed_resumable))
 //! reports through [`EngineError`] instead, so callers can retry, resume
 //! from a checkpoint, or surface a precise diagnostic.

@@ -71,8 +71,8 @@ pub use error::EngineError;
 pub use plan::{CampaignPlan, CampaignPlanBuilder, FaultSource, ShardPolicy, Technique};
 pub use progress::{EngineStats, ProgressCounter, ProgressEvent, ProgressHook};
 pub use resume::{
-    Checkpoint, Fingerprint, PersistentSink, ResumeError, ResumeOptions, CKPT_SCHEMA,
-    DEFAULT_CHECKPOINT_EVERY,
+    write_durable, Checkpoint, Fingerprint, PersistentSink, ResumeError, ResumeOptions,
+    CKPT_SCHEMA, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use runtime::{CampaignRun, Engine, FaultPlan, ResumableRun, StreamedRun};
 pub use stream::{StreamAccumulator, VerdictSink};

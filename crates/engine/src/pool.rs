@@ -4,12 +4,13 @@
 //! so fast workers naturally steal the load of slow ones (long-tail
 //! injection cycles cost more than late ones). Each worker owns private
 //! scratch state created by `init` — for fault grading, a `SimState` —
-//! and every item's result is tagged with its index, so the caller can
-//! merge results **deterministically** regardless of which worker graded
-//! what and in which order.
+//! and folds its items into a private accumulator; callers that need
+//! submission order tag each item's result with its index, so results
+//! merge **deterministically** regardless of which worker graded what
+//! and in which order.
 //!
-//! The folded entry points additionally provide the robustness layer the
-//! resumable campaign path builds on:
+//! [`run_folded_ctl`] is the only scheduler. It also provides the
+//! robustness layer every campaign path builds on:
 //!
 //! - **Worker-panic containment.** Each item runs under
 //!   [`std::panic::catch_unwind`] with a *chunk-local* accumulator that
@@ -75,108 +76,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `work` over every index in `0..items` on up to `threads` workers
-/// and returns the results in index order.
-///
-/// `init` creates one private scratch state per worker; `work` maps
-/// `(scratch, index)` to that item's result. With `threads == 1` (or a
-/// single item) everything runs inline on the calling thread — the
-/// reference schedule the multi-threaded runs are compared against.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or a worker panics.
-pub(crate) fn run_indexed<S, T, I, W>(items: usize, threads: usize, init: I, work: W) -> Vec<T>
-where
-    T: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    W: Fn(&mut S, usize) -> T + Sync,
-{
-    assert!(threads > 0, "the pool needs at least one thread");
-    if items == 0 {
-        return Vec::new();
-    }
-    let threads = threads.min(items);
-    if threads == 1 {
-        let mut scratch = init();
-        return (0..items).map(|i| work(&mut scratch, i)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items {
-                            break;
-                        }
-                        done.push((i, work(&mut scratch, i)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine worker panicked"))
-            .collect()
-    });
-
-    // Deterministic merge: scatter by index, then unwrap in order.
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(items);
-    slots.resize_with(items, || None);
-    for batch in per_worker {
-        for (i, t) in batch {
-            debug_assert!(slots[i].is_none(), "item {i} graded twice");
-            slots[i] = Some(t);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item claimed exactly once"))
-        .collect()
-}
-
 /// Runs `work` over every index in `0..items` on up to `threads` workers,
-/// folding each item into a per-worker accumulator instead of collecting
-/// per-item results — the memory shape of the streaming campaign path.
+/// folding each item into a per-worker accumulator — the one scheduler
+/// every engine run path shares.
 ///
-/// Returns the worker accumulators in worker-index order (a single
-/// accumulator when everything ran inline). The caller merges them;
-/// because workers race for items, only **order-insensitive**
-/// accumulators produce schedule-independent results. Worker panics are
-/// contained and retried under the default budget (see the module docs).
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub(crate) fn run_folded<S, A, I, F, M, W>(
-    items: usize,
-    threads: usize,
-    init: I,
-    init_acc: F,
-    merge: M,
-    work: W,
-) -> Result<Vec<A>, EngineError>
-where
-    A: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn() -> A + Sync,
-    M: Fn(&mut A, A) + Sync,
-    W: Fn(&mut S, &mut A, usize) + Sync,
-{
-    run_folded_ctl(items, threads, init, init_acc, merge, work, &FoldControl::default())
-        .map(|s| s.accs)
-}
-
-/// [`run_folded`] with explicit cancellation and retry control; reports
-/// how many chunks actually completed (an exact queue prefix).
+/// `init` creates one private scratch state per worker; `work` folds
+/// `(scratch, accumulator, index)`. Each item runs on a fresh `init_acc`
+/// accumulator that `merge` folds into the worker's only once the item
+/// succeeded (see the module docs for panic containment and
+/// cancellation). Returns the worker accumulators in worker-index order
+/// — a single accumulator when everything ran inline on the calling
+/// thread (`threads == 1`, or at most one item). Workers race for items,
+/// so the caller restores any order it needs (by tagging results with
+/// their index) or uses order-insensitive accumulators.
 ///
 /// # Panics
 ///
@@ -202,47 +114,6 @@ where
     let threads = threads.min(items).max(1);
     let cancelled = || ctl.cancel.is_some_and(CancelToken::is_cancelled);
 
-    if items == 0 || threads == 1 {
-        // Inline reference schedule: immediate retries, cancellation
-        // between chunks.
-        let mut scratch = init();
-        let mut acc = init_acc();
-        let mut completed = 0usize;
-        for i in 0..items {
-            if cancelled() {
-                break;
-            }
-            let mut attempts = 0usize;
-            loop {
-                attempts += 1;
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    let mut local = init_acc();
-                    work(&mut scratch, &mut local, i);
-                    local
-                }));
-                match run {
-                    Ok(local) => {
-                        merge(&mut acc, local);
-                        completed += 1;
-                        break;
-                    }
-                    Err(payload) => {
-                        // The panic may have left the scratch mid-update.
-                        scratch = init();
-                        if attempts > ctl.retry_budget {
-                            return Err(EngineError::WorkerPanic {
-                                chunk: i,
-                                attempts,
-                                message: panic_message(payload.as_ref()),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        return Ok(FoldStatus { accs: vec![acc], completed });
-    }
-
     let next = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
     let fatal_flag = AtomicBool::new(false);
@@ -253,69 +124,70 @@ where
     let retries: Mutex<(Vec<usize>, HashMap<usize, usize>)> =
         Mutex::new((Vec::new(), HashMap::new()));
 
-    let accs: Vec<A> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    let mut acc = init_acc();
-                    loop {
-                        if fatal_flag.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let requeued =
-                            retries.lock().expect("retry queue lock").0.pop();
-                        let item = match requeued {
-                            Some(i) => i,
-                            None => {
-                                if cancelled() {
-                                    break;
-                                }
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= items {
-                                    break;
-                                }
-                                i
-                            }
-                        };
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            let mut local = init_acc();
-                            work(&mut scratch, &mut local, item);
-                            local
-                        }));
-                        match run {
-                            Ok(local) => {
-                                merge(&mut acc, local);
-                                completed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(payload) => {
-                                scratch = init();
-                                let mut r = retries.lock().expect("retry queue lock");
-                                let attempts = r.1.entry(item).or_insert(0);
-                                *attempts += 1;
-                                if *attempts > ctl.retry_budget {
-                                    *fatal.lock().expect("fatal lock") =
-                                        Some(EngineError::WorkerPanic {
-                                            chunk: item,
-                                            attempts: *attempts,
-                                            message: panic_message(payload.as_ref()),
-                                        });
-                                    fatal_flag.store(true, Ordering::SeqCst);
-                                } else {
-                                    r.0.push(item);
-                                }
-                            }
-                        }
+    let worker = || {
+        let mut scratch = init();
+        let mut acc = init_acc();
+        loop {
+            if fatal_flag.load(Ordering::SeqCst) {
+                break;
+            }
+            let requeued = retries.lock().expect("retry queue lock").0.pop();
+            let item = match requeued {
+                Some(i) => i,
+                None => {
+                    if cancelled() {
+                        break;
                     }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked outside the contained region"))
-            .collect()
-    });
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items {
+                        break;
+                    }
+                    i
+                }
+            };
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let mut local = init_acc();
+                work(&mut scratch, &mut local, item);
+                local
+            }));
+            match run {
+                Ok(local) => {
+                    merge(&mut acc, local);
+                    completed.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(payload) => {
+                    // The panic may have left the scratch mid-update.
+                    scratch = init();
+                    let mut r = retries.lock().expect("retry queue lock");
+                    let attempts = r.1.entry(item).or_insert(0);
+                    *attempts += 1;
+                    if *attempts > ctl.retry_budget {
+                        *fatal.lock().expect("fatal lock") = Some(EngineError::WorkerPanic {
+                            chunk: item,
+                            attempts: *attempts,
+                            message: panic_message(payload.as_ref()),
+                        });
+                        fatal_flag.store(true, Ordering::SeqCst);
+                    } else {
+                        r.0.push(item);
+                    }
+                }
+            }
+        }
+        acc
+    };
+
+    let accs: Vec<A> = if threads == 1 {
+        vec![worker()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked outside the contained region"))
+                .collect()
+        })
+    };
 
     if let Some(err) = fatal.into_inner().expect("fatal lock") {
         return Err(err);
@@ -350,17 +222,10 @@ mod tests {
     #[test]
     fn folded_accumulators_cover_every_item_once() {
         for threads in [1, 2, 4, 8] {
-            let accs = run_folded(
-                100,
-                threads,
-                || (),
-                Vec::new,
-                |a: &mut Vec<usize>, b| a.extend(b),
-                |(), acc: &mut Vec<usize>, i| acc.push(i),
-            )
-            .unwrap();
-            assert!(accs.len() <= threads);
-            let mut all: Vec<usize> = accs.into_iter().flatten().collect();
+            let status = collect_folded(100, threads, &FoldControl::default(), |_| {}).unwrap();
+            assert_eq!(status.completed, 100);
+            assert!(status.accs.len() <= threads);
+            let mut all: Vec<usize> = status.accs.into_iter().flatten().collect();
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>(), "{threads} threads");
         }
@@ -368,16 +233,9 @@ mod tests {
 
     #[test]
     fn folded_empty_queue_yields_one_empty_accumulator() {
-        let accs = run_folded(
-            0,
-            4,
-            || (),
-            || 0usize,
-            |a, b| *a += b,
-            |(), acc, _| *acc += 1,
-        )
-        .unwrap();
-        assert_eq!(accs, vec![0]);
+        let status = collect_folded(0, 4, &FoldControl::default(), |_| {}).unwrap();
+        assert_eq!(status.completed, 0);
+        assert_eq!(status.accs, vec![Vec::<usize>::new()]);
     }
 
     #[test]
@@ -451,46 +309,36 @@ mod tests {
     }
 
     #[test]
-    fn results_arrive_in_index_order() {
-        for threads in [1, 2, 4, 8] {
-            let out = run_indexed(100, threads, || (), |(), i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>(), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn empty_queue_is_fine() {
-        let out: Vec<usize> = run_indexed(0, 4, || (), |(), i| i);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn scratch_state_is_per_worker() {
-        // Each worker counts the items it grades; totals must cover the
-        // queue exactly once whatever the interleaving.
-        let out = run_indexed(
+        // Each worker counts the items it grades in its scratch; the
+        // per-worker counts must sum to the queue length whatever the
+        // interleaving.
+        let status = run_folded_ctl(
             64,
             3,
             || 0usize,
-            |count, i| {
+            || 0usize,
+            |a: &mut usize, b| *a = (*a).max(b),
+            |count, acc, _| {
                 *count += 1;
-                (i, *count)
+                *acc = *count;
             },
-        );
-        assert_eq!(out.len(), 64);
-        let indices: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
-        assert_eq!(indices, (0..64).collect::<Vec<_>>());
+            &FoldControl::default(),
+        )
+        .unwrap();
+        assert_eq!(status.accs.iter().sum::<usize>(), 64);
     }
 
     #[test]
     fn more_threads_than_items() {
-        let out = run_indexed(3, 16, || (), |(), i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
+        let status = collect_folded(3, 16, &FoldControl::default(), |_| {}).unwrap();
+        assert_eq!(status.accs.len(), 3, "workers are capped at the item count");
+        assert_eq!(status.completed, 3);
     }
 
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
-        let _ = run_indexed(1, 0, || (), |(), i| i);
+        let _ = collect_folded(1, 0, &FoldControl::default(), |_| {});
     }
 }

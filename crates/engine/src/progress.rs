@@ -43,6 +43,11 @@ impl ProgressHook {
     pub fn call(&self, event: ProgressEvent) {
         (self.0)(event);
     }
+
+    /// The wrapped callback.
+    pub(crate) fn as_fn(&self) -> &(dyn Fn(ProgressEvent) + Sync) {
+        &*self.0
+    }
 }
 
 impl fmt::Debug for ProgressHook {

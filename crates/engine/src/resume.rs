@@ -10,7 +10,7 @@
 //!   digest, test-bench digest, fault source, trace policy, techniques,
 //!   chunk space), a thread-count-independent chunk cursor, caller
 //!   metadata, and the folded sink state. Files are written atomically
-//!   (sibling temp file + `rename`) and end in a checksum trailer, so a
+//!   and durably ([`write_durable`]) and end in a checksum trailer, so a
 //!   truncated or bit-flipped file is detected on load — every load
 //!   failure is a line-numbered [`ResumeError`], never a panic.
 //! - [`Fingerprint`] pins a checkpoint to *one* campaign. Resuming
@@ -33,6 +33,7 @@
 use std::error::Error;
 use std::fmt;
 use std::fs;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use seugrade_faultsim::{Fault, FaultClass};
@@ -468,19 +469,14 @@ impl Checkpoint {
         format!("{body}\nend {:016x}\n", body_checksum(&body))
     }
 
-    /// Writes the checkpoint atomically: a sibling `<path>.tmp` is
-    /// written in full, then renamed over `path`, so a crash mid-write
-    /// never leaves a torn checkpoint behind.
+    /// Writes the checkpoint through [`write_durable`], so neither a
+    /// crash nor a power loss mid-write leaves a torn or empty
+    /// checkpoint behind.
     pub fn write_atomic(&self, path: &Path) -> Result<(), ResumeError> {
-        let io = |e: std::io::Error| ResumeError::Io {
+        write_durable(path, self.render().as_bytes()).map_err(|e| ResumeError::Io {
             path: path.display().to_string(),
             msg: e.to_string(),
-        };
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, self.render()).map_err(io)?;
-        fs::rename(&tmp, path).map_err(io)
+        })
     }
 
     /// Loads and validates a checkpoint file.
@@ -803,6 +799,33 @@ impl PersistentSink for StreamAccumulator {
     }
 }
 
+/// Replaces `path` with `contents` atomically and durably: a sibling
+/// `<path>.tmp` is written in full and synced to disk, renamed over
+/// `path`, and then the parent directory is synced so the rename itself
+/// survives a power loss. A reader sees the old file or the new one,
+/// never a torn or zero-length one.
+///
+/// # Errors
+///
+/// Propagates filesystem failures.
+pub fn write_durable(path: &Path, contents: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(contents)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, path)?;
+    // Directories open as files only on unix.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
+}
+
 // --------------------------------------------------------------------
 // Options
 
@@ -1022,6 +1045,19 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
         assert!(matches!(err, ResumeError::Io { .. }), "{err}");
+    }
+
+    #[test]
+    fn durable_overwrite_leaves_new_contents_and_no_temp_sibling() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("seugrade-durable-test-{}.txt", std::process::id()));
+        write_durable(&path, b"old contents, longer than the new ones").unwrap();
+        write_durable(&path, b"new").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"new");
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        assert!(!PathBuf::from(tmp).exists(), "temp sibling left behind");
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,25 +1,78 @@
 //! The sharded campaign runtime.
+//!
+//! Every run path — materialized, one-shot streamed, resumable — resolves
+//! its fault source into one cycle-major `ChunkPlan` and grades it
+//! through one private chunk driver on the pool's one scheduler; the
+//! paths differ only in what they fold each graded chunk into and
+//! whether a round ends in a checkpoint.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use seugrade_faultsim::{
-    sampling, Collapse, FaultList, FaultOutcome, GradeScratch, Grader, GradingSummary, MultiFault,
-};
+use seugrade_faultsim::{Fault, FaultList, FaultOutcome, Grader, GradingSummary, MultiFault};
 use seugrade_netlist::Netlist;
-use seugrade_sim::{BitCache, Kernel, Testbench, TracePolicy, WindowCache};
+use seugrade_sim::{BitCache, Testbench, TracePolicy, WindowCache};
 
 use crate::error::EngineError;
 use crate::plan::{CampaignPlan, FaultSource, Technique};
-use crate::pool::{run_folded, run_folded_ctl, run_indexed, FoldControl};
-use crate::progress::{EngineStats, ProgressEvent, ProgressHook};
+use crate::pool::{run_folded_ctl, FoldControl};
+use crate::progress::{EngineStats, ProgressEvent};
 use crate::resume::{Checkpoint, Fingerprint, PersistentSink, ResumeError, ResumeOptions};
 use crate::stream::{ChunkPlan, StreamAccumulator, VerdictSink};
 
-/// Per-worker grading scratch of the streamed paths: the grader's
-/// scratch (simulator state + window cache + collapse mode), the chunk
-/// fault buffer, and the 64-lane outcome array.
-type StreamedScratch = (GradeScratch, Vec<seugrade_faultsim::Fault>, [FaultOutcome; 64]);
+/// Per-worker grading scratch: the grader's scratch (simulator state +
+/// span caches + collapse mode + kernel), the chunk fault buffer, and
+/// the 64-lane outcome array.
+type WorkerScratch = (seugrade_faultsim::GradeScratch, Vec<Fault>, [FaultOutcome; 64]);
+
+/// Observer of finished chunks, called from worker threads.
+type ChunkProgress<'r> = &'r (dyn Fn(ProgressEvent) + Sync);
+
+/// How the chunk driver walks a campaign's queue.
+struct Rounds<'r> {
+    /// First chunk to grade: a resume cursor, 0 for fresh runs.
+    from: usize,
+    /// Chunks per round; every round ends in a join barrier (and, on
+    /// the resumable path, a checkpoint).
+    every: usize,
+    /// Grade at most this many chunks in this invocation.
+    limit: Option<usize>,
+    /// Cancellation and panic-retry control.
+    ctl: FoldControl<'r>,
+    /// Per-chunk progress callback; `None` costs nothing.
+    progress: Option<ChunkProgress<'r>>,
+}
+
+impl<'r> Rounds<'r> {
+    /// The whole queue as a single round: no cancellation, no
+    /// checkpoint, default retry budget.
+    fn once(progress: Option<ChunkProgress<'r>>) -> Self {
+        Rounds { from: 0, every: usize::MAX, limit: None, ctl: FoldControl::default(), progress }
+    }
+}
+
+/// What the chunk driver got through.
+struct Driven {
+    /// Chunks completed, cumulative from chunk 0.
+    done: usize,
+    /// True when the driver stopped before the last chunk.
+    interrupted: bool,
+    /// The run's cost (`faults`/`shards` cumulative from chunk 0).
+    stats: EngineStats,
+}
+
+/// Folds a graded chunk into a [`VerdictSink`].
+fn observe_chunk<A: VerdictSink>(
+    sink: &mut A,
+    _chunk: usize,
+    faults: &[Fault],
+    out: &[FaultOutcome],
+) {
+    for (&f, &o) in faults.iter().zip(out) {
+        sink.observe(f, o);
+    }
+}
 
 /// The materialized faults of one campaign run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -312,59 +365,37 @@ impl Engine {
         plan: &CampaignPlan<'_>,
         on_shard: impl Fn(ProgressEvent) + Sync,
     ) -> CampaignRun {
-        assert_eq!(
-            plan.testbench(),
-            self.grader.testbench(),
-            "plan test bench does not match engine"
-        );
-        assert!(
-            plan.circuit().name() == self.circuit_name
-                && plan.circuit().num_cells() == self.num_cells
-                && plan.circuit().num_ffs() == self.grader.sim().num_ffs(),
-            "plan circuit does not match engine"
-        );
-
-        let num_ffs = self.grader.sim().num_ffs();
-        let num_cycles = self.grader.testbench().num_cycles();
-        let faults = match plan.source() {
-            FaultSource::Exhaustive => FaultPlan::Single(FaultList::exhaustive(num_ffs, num_cycles)),
-            FaultSource::Sampled { count, seed } => {
-                FaultPlan::Single(FaultList::sampled(num_ffs, num_cycles, *count, *seed))
-            }
-            FaultSource::List(list) => FaultPlan::Single(list.clone()),
-            FaultSource::Multi(list) => FaultPlan::Multi(list.clone()),
-        };
-
-        let mut threads = plan.policy().resolved_threads().max(1);
-        if faults.len() < plan.policy().serial_below {
-            threads = 1;
-        }
-
-        let (outcomes, summary, stats) = match &faults {
-            FaultPlan::Single(list) => {
-                // The exhaustive space chunks arithmetically (and its
-                // submission order is already cycle-major); anything
-                // else goes through the counting-sorted plan.
-                let lanes = self.grader.chunk_lanes();
-                let chunks = match plan.source() {
-                    FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles, lanes),
-                    _ => ChunkPlan::ordered(list.as_slice(), num_cycles, lanes),
-                };
-                self.grade_single(
+        self.check_plan(plan);
+        let (faults, outcomes, stats) = if let FaultSource::Multi(list) = plan.source() {
+            let (outcomes, stats) = self.grade_multi(plan, list, &on_shard);
+            (FaultPlan::Multi(list.clone()), outcomes, stats)
+        } else {
+            // Verdicts fold tagged with their chunk index and are
+            // scattered into submission order after the join.
+            let chunks = self.chunk_plan(plan.source());
+            let mut tagged: Vec<(usize, Vec<FaultOutcome>)> = Vec::new();
+            let driven = self
+                .drive(
+                    plan,
                     &chunks,
-                    threads,
-                    plan.collapse(),
-                    plan.window_cache(),
-                    plan.kernel(),
-                    &on_shard,
+                    &Rounds::once(Some(&on_shard)),
+                    &mut tagged,
+                    |a: &mut Vec<_>, b| a.extend(b),
+                    |acc, i, _, out| acc.push((i, out.to_vec())),
+                    |_, _| Ok(()),
                 )
+                .unwrap_or_else(|e| panic!("{e}"));
+            let mut outcomes = vec![FaultOutcome::latent(); chunks.num_faults()];
+            for (i, out) in &tagged {
+                chunks.scatter(*i, out, &mut outcomes);
             }
-            FaultPlan::Multi(list) => self.grade_multi(list, threads, &on_shard),
+            let list = chunks.into_fault_list(self.grader.testbench().num_cycles());
+            (FaultPlan::Single(list), outcomes, driven.stats)
         };
         CampaignRun {
             faults,
+            summary: GradingSummary::from_outcomes(&outcomes),
             outcomes,
-            summary,
             stats,
             techniques: plan.techniques().to_vec(),
         }
@@ -389,11 +420,12 @@ impl Engine {
     /// Panics under the same conditions as [`run`](Self::run), or if the
     /// plan's source is [`FaultSource::Multi`] (MBU campaigns go through
     /// the materialized path), or if a worker panic survives the retry
-    /// budget ([`try_run_streamed`](Self::try_run_streamed) reports that
-    /// as an error instead).
+    /// budget ([`try_run_streamed_with`](Self::try_run_streamed_with)
+    /// reports that as an error instead).
     #[must_use]
     pub fn run_streamed(&self, plan: &CampaignPlan<'_>) -> StreamedRun {
-        self.try_run_streamed(plan).unwrap_or_else(|e| panic!("{e}"))
+        let (acc, stats) = self.run_streamed_with::<StreamAccumulator>(plan);
+        StreamedRun { acc, stats }
     }
 
     /// [`run_streamed`](Self::run_streamed) with a caller-supplied
@@ -415,82 +447,33 @@ impl Engine {
         self.try_run_streamed_with(plan).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fault-tolerant [`run_streamed`](Self::run_streamed): worker
-    /// panics are contained, retried up to a bounded budget, and
+    /// Fault-tolerant [`run_streamed_with`](Self::run_streamed_with):
+    /// worker panics are contained, retried up to a bounded budget, and
     /// surfaced as [`EngineError::WorkerPanic`] instead of propagating.
+    /// The whole queue is one round: no checkpoint, no join barrier
+    /// before the last chunk.
     ///
     /// # Panics
     ///
     /// Panics on plan/engine mismatch or a [`FaultSource::Multi`] source
     /// (programmer errors); grading failures are `Err`.
-    pub fn try_run_streamed(
-        &self,
-        plan: &CampaignPlan<'_>,
-    ) -> Result<StreamedRun, EngineError> {
-        let (acc, stats) = self.try_run_streamed_with::<StreamAccumulator>(plan)?;
-        Ok(StreamedRun { acc, stats })
-    }
-
-    /// Fault-tolerant [`run_streamed_with`](Self::run_streamed_with).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`try_run_streamed`](Self::try_run_streamed).
     pub fn try_run_streamed_with<A: VerdictSink>(
         &self,
         plan: &CampaignPlan<'_>,
     ) -> Result<(A, EngineStats), EngineError> {
-        self.check_streamed_plan(plan);
-        let num_ffs = self.grader.sim().num_ffs();
-        let num_cycles = self.grader.testbench().num_cycles();
-        // Drawing a sample is the one source that inherently
-        // materializes its fault list (a uniform draw needs the whole
-        // space); explicit lists are borrowed, the exhaustive space is
-        // arithmetic.
-        let lanes = self.grader.chunk_lanes();
-        let sample: FaultList;
-        let chunks = match plan.source() {
-            FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles, lanes),
-            FaultSource::Sampled { count, seed } => {
-                sample = FaultList::sampled(num_ffs, num_cycles, *count, *seed);
-                ChunkPlan::ordered(sample.as_slice(), num_cycles, lanes)
-            }
-            FaultSource::List(list) => ChunkPlan::ordered(list.as_slice(), num_cycles, lanes),
-            FaultSource::Multi(_) => {
-                panic!("streamed execution grades single-fault sources; use run() for MBUs")
-            }
-        };
-
-        let threads = self.streamed_threads(plan, chunks.num_faults());
-        let start = Instant::now();
-        let cache_root = WindowCache::shared(plan.window_cache());
-        let bits_root = BitCache::shared(plan.window_cache());
-        let switches = AtomicU64::new(0);
-        let accs: Vec<A> = run_folded(
-            chunks.num_chunks(),
-            threads,
-            || self.streamed_scratch(plan, &cache_root, &bits_root),
-            A::default,
-            |a: &mut A, b| a.merge(b),
-            |scratch, acc: &mut A, i| {
-                self.grade_streamed_chunk(&chunks, scratch, acc, i, None, &switches);
-            },
+        self.check_plan(plan);
+        let chunks = self.chunk_plan(plan.source());
+        let mut sink = A::default();
+        let driven = self.drive(
+            plan,
+            &chunks,
+            &Rounds::once(None),
+            &mut sink,
+            A::merge,
+            observe_chunk,
+            |_, _| Ok(()),
         )?;
-        let merged = accs
-            .into_iter()
-            .reduce(|mut a, b| {
-                a.merge(b);
-                a
-            })
-            .unwrap_or_default();
-        let stats = EngineStats {
-            faults: chunks.num_faults(),
-            shards: chunks.num_chunks(),
-            threads: threads.min(chunks.num_chunks()).max(1),
-            wall_ns: start.elapsed().as_nanos(),
-            kernel_switches: switches.into_inner(),
-        };
-        Ok((merged, stats))
+        Ok((sink, driven.stats))
     }
 
     /// The **interruption-safe** streaming path: grades in rounds of
@@ -531,32 +514,17 @@ impl Engine {
         plan: &CampaignPlan<'_>,
         opts: &ResumeOptions,
     ) -> Result<ResumableRun<A>, EngineError> {
-        self.check_streamed_plan(plan);
+        self.check_plan(plan);
         assert!(
             !opts.resume || opts.checkpoint.is_some(),
             "resuming requires a checkpoint path"
         );
-        let num_ffs = self.grader.sim().num_ffs();
-        let num_cycles = self.grader.testbench().num_cycles();
-        let lanes = self.grader.chunk_lanes();
-        let sample: FaultList;
-        let chunks = match plan.source() {
-            FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles, lanes),
-            FaultSource::Sampled { count, seed } => {
-                sample = FaultList::sampled(num_ffs, num_cycles, *count, *seed);
-                ChunkPlan::ordered(sample.as_slice(), num_cycles, lanes)
-            }
-            FaultSource::List(list) => ChunkPlan::ordered(list.as_slice(), num_cycles, lanes),
-            FaultSource::Multi(_) => {
-                panic!("streamed execution grades single-fault sources; use run() for MBUs")
-            }
-        };
-        let total_chunks = chunks.num_chunks();
-        let fingerprint = Fingerprint::of(plan, total_chunks, chunks.num_faults());
+        let chunks = self.chunk_plan(plan.source());
+        let fingerprint = Fingerprint::of(plan, chunks.num_chunks(), chunks.num_faults());
 
         let mut sink = A::default();
         let mut meta = opts.meta.clone();
-        let mut start_chunk = 0usize;
+        let mut from = 0usize;
         if opts.resume {
             let path = opts.checkpoint.as_ref().expect("checked above");
             let ck = Checkpoint::load(path)?;
@@ -575,109 +543,48 @@ impl Engine {
                 }
                 .into());
             }
-            start_chunk = ck.chunks_done();
+            from = ck.chunks_done();
             sink = ck.restore_sink::<A>()?;
             meta = ck.meta().to_vec();
         }
 
-        let threads = self.streamed_threads(plan, chunks.num_faults());
-        let every = opts.every.max(1);
-        let ctl = FoldControl { cancel: opts.cancel.as_ref(), retry_budget: opts.retry_budget };
-        let cancelled =
-            || opts.cancel.as_ref().is_some_and(crate::cancel::CancelToken::is_cancelled);
-
-        let start = Instant::now();
-        let mut done = start_chunk;
-        let mut interrupted = false;
-        // One shared span store across every round: the per-round scratch
-        // rebuild must not throw replayed golden spans away.
-        let cache_root = WindowCache::shared(plan.window_cache());
-        let bits_root = BitCache::shared(plan.window_cache());
-        let switches = AtomicU64::new(0);
-        while done < total_chunks {
-            let budget = opts
-                .limit
-                .map_or(usize::MAX, |l| l.saturating_sub(done - start_chunk));
-            if budget == 0 || cancelled() {
-                interrupted = true;
-                break;
-            }
-            let round = every.min(total_chunks - done).min(budget);
-            let status = run_folded_ctl(
-                round,
-                threads,
-                || self.streamed_scratch(plan, &cache_root, &bits_root),
-                A::default,
-                |a: &mut A, b| a.merge(b),
-                |scratch, acc: &mut A, i| {
-                    self.grade_streamed_chunk(
-                        &chunks,
-                        scratch,
-                        acc,
-                        done + i,
-                        opts.progress.as_ref(),
-                        &switches,
-                    );
-                },
-                &ctl,
-            )?;
-            for acc in status.accs {
-                sink.merge(acc);
-            }
-            done += status.completed;
-            if status.completed < round {
-                interrupted = true;
-            }
+        let save = |done: usize, sink: &A| -> Result<(), EngineError> {
             if let Some(path) = &opts.checkpoint {
-                Checkpoint::new(
-                    fingerprint.clone(),
-                    done,
-                    chunks.faults_before(done),
-                    meta.clone(),
-                    &sink,
-                )
-                .write_atomic(path)?;
+                let faults_done = chunks.faults_before(done);
+                Checkpoint::new(fingerprint.clone(), done, faults_done, meta.clone(), sink)
+                    .write_atomic(path)?;
             }
-            if interrupted {
-                break;
-            }
-        }
+            Ok(())
+        };
+        let rounds = Rounds {
+            from,
+            every: opts.every.max(1),
+            limit: opts.limit,
+            ctl: FoldControl { cancel: opts.cancel.as_ref(), retry_budget: opts.retry_budget },
+            progress: opts.progress.as_ref().map(|hook| hook.as_fn()),
+        };
+        let driven =
+            self.drive(plan, &chunks, &rounds, &mut sink, A::merge, observe_chunk, save)?;
         // Zero-round invocations (already complete, limit 0, pre-
         // cancelled) still leave a valid checkpoint behind.
-        if let Some(path) = &opts.checkpoint {
-            if done == start_chunk {
-                Checkpoint::new(
-                    fingerprint.clone(),
-                    done,
-                    chunks.faults_before(done),
-                    meta.clone(),
-                    &sink,
-                )
-                .write_atomic(path)?;
-            }
+        if driven.done == from {
+            save(from, &sink)?;
         }
 
-        let faults_done = chunks.faults_before(done);
         Ok(ResumableRun {
-            stats: EngineStats {
-                faults: faults_done,
-                shards: done,
-                threads: threads.min(total_chunks.max(1)),
-                wall_ns: start.elapsed().as_nanos(),
-                kernel_switches: switches.into_inner(),
-            },
             sink,
-            chunks_done: done,
-            chunks_total: total_chunks,
-            faults_done,
+            chunks_done: driven.done,
+            chunks_total: chunks.num_chunks(),
+            faults_done: driven.stats.faults,
             faults_total: chunks.num_faults(),
-            resumed_from: start_chunk,
-            interrupted,
+            resumed_from: from,
+            interrupted: driven.interrupted,
+            stats: driven.stats,
         })
     }
 
     /// Rejects plans built for a different circuit or test bench.
-    fn check_streamed_plan(&self, plan: &CampaignPlan<'_>) {
+    fn check_plan(&self, plan: &CampaignPlan<'_>) {
         assert_eq!(
             plan.testbench(),
             self.grader.testbench(),
@@ -691,199 +598,176 @@ impl Engine {
         );
     }
 
-    /// Worker count for a streamed run of `num_faults` faults.
-    fn streamed_threads(&self, plan: &CampaignPlan<'_>, num_faults: usize) -> usize {
-        let threads = plan.policy().resolved_threads().max(1);
+    /// Resolves a single-fault source into its cycle-major chunk plan —
+    /// the one place the engine interprets a [`FaultSource`]. The
+    /// exhaustive space chunks arithmetically and an explicit list is
+    /// borrowed; a sample is the one source that inherently materializes
+    /// its faults (a uniform draw needs the whole space).
+    fn chunk_plan<'p>(&self, source: &'p FaultSource) -> ChunkPlan<'p> {
+        let num_ffs = self.grader.sim().num_ffs();
+        let num_cycles = self.grader.testbench().num_cycles();
+        let lanes = self.grader.chunk_lanes();
+        match source {
+            FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles, lanes),
+            FaultSource::Sampled { count, seed } => {
+                let sample = FaultList::sampled(num_ffs, num_cycles, *count, *seed);
+                ChunkPlan::ordered(Cow::Owned(sample), num_cycles, lanes)
+            }
+            FaultSource::List(list) => ChunkPlan::ordered(Cow::Borrowed(list), num_cycles, lanes),
+            FaultSource::Multi(_) => {
+                panic!("streamed execution grades single-fault sources; use run() for MBUs")
+            }
+        }
+    }
+
+    /// Worker count for a run of `num_faults` faults.
+    fn threads_for(&self, plan: &CampaignPlan<'_>, num_faults: usize) -> usize {
         if num_faults < plan.policy().serial_below {
             1
         } else {
-            threads
+            plan.policy().resolved_threads().max(1)
         }
     }
 
-    /// Per-worker grading scratch: the grader's scratch configured from
-    /// the plan's collapse mode and window-cache capacity, the chunk
-    /// fault buffer, and the 64-lane outcome array. Cheap to rebuild —
-    /// the pool recreates it after a contained worker panic.
-    fn streamed_scratch(
+    /// The chunk driver every single-fault run path grades through.
+    ///
+    /// Grades `chunks` from `rounds.from` in rounds of `rounds.every`
+    /// chunks on the pool. `fold` folds each graded chunk (its queue
+    /// index, faults and verdicts) into a per-worker accumulator; after
+    /// each round's join the accumulators `merge` into `sink` and
+    /// `after_round` sees the cumulative cursor. Stops early, between
+    /// chunks, on cancellation or `rounds.limit`.
+    #[allow(clippy::too_many_arguments)]
+    fn drive<A: Default + Send>(
         &self,
         plan: &CampaignPlan<'_>,
-        root: &WindowCache,
-        bits: &BitCache,
-    ) -> StreamedScratch {
-        (
-            self.grader
-                .new_scratch_with_cache(plan.collapse(), root.clone_handle())
-                .with_kernel(plan.kernel())
-                .with_bit_cache(bits.clone_handle()),
-            Vec::with_capacity(64),
-            [FaultOutcome::latent(); 64],
-        )
-    }
-
-    /// Grades one chunk of the streamed plan into `acc`, reporting the
-    /// chunk's tallies through `progress` when a hook is installed and
-    /// adding a kernel switch to `switches` if the chunk made one.
-    fn grade_streamed_chunk<A: VerdictSink>(
-        &self,
         chunks: &ChunkPlan<'_>,
-        (st, buf, out): &mut StreamedScratch,
-        acc: &mut A,
-        i: usize,
-        progress: Option<&ProgressHook>,
-        switches: &AtomicU64,
-    ) {
-        chunks.fill(i, buf);
-        let out = &mut out[..buf.len()];
-        grade_counting_switches(&self.grader, st, buf, out, switches);
-        for (&f, &o) in buf.iter().zip(out.iter()) {
-            acc.observe(f, o);
-        }
-        if let Some(hook) = progress {
-            hook.call(ProgressEvent {
-                shard: i,
-                faults: buf.len(),
-                summary: GradingSummary::from_outcomes(out),
-            });
-        }
-    }
-
-    /// Single-fault path: dispatch the plan's same-cycle 64-lane chunks
-    /// through the chunk queue, scatter the per-chunk verdicts back into
-    /// submission order and pool the per-shard tallies.
-    fn grade_single(
-        &self,
-        chunks: &ChunkPlan<'_>,
-        threads: usize,
-        collapse: Collapse,
-        cache_spans: usize,
-        kernel: Kernel,
-        on_shard: &(impl Fn(ProgressEvent) + Sync),
-    ) -> (Vec<FaultOutcome>, GradingSummary, EngineStats) {
-        let start = Instant::now();
-        // One span store for the whole pool: each worker gets a handle,
-        // so a span is replayed once per run, not once per worker.
-        let cache_root = WindowCache::shared(cache_spans);
-        let bits_root = BitCache::shared(cache_spans);
+        rounds: &Rounds<'_>,
+        sink: &mut A,
+        merge: impl Fn(&mut A, A) + Sync,
+        fold: impl Fn(&mut A, usize, &[Fault], &[FaultOutcome]) + Sync,
+        mut after_round: impl FnMut(usize, &A) -> Result<(), EngineError>,
+    ) -> Result<Driven, EngineError> {
+        let total = chunks.num_chunks();
+        let threads = self.threads_for(plan, chunks.num_faults());
+        let cancelled = || rounds.ctl.cancel.is_some_and(crate::CancelToken::is_cancelled);
+        // One span store per run, shared by every worker of every round:
+        // a span is replayed once per run, not once per worker or round.
+        let windows = WindowCache::shared(plan.window_cache());
+        let bits = BitCache::shared(plan.window_cache());
         let switches = AtomicU64::new(0);
-        let graded: Vec<(Vec<FaultOutcome>, GradingSummary)> = run_indexed(
-            chunks.num_chunks(),
-            threads,
-            || {
-                (
-                    self.grader
-                        .new_scratch_with_cache(collapse, cache_root.clone_handle())
-                        .with_kernel(kernel)
-                        .with_bit_cache(bits_root.clone_handle()),
-                    Vec::with_capacity(64),
-                )
-            },
-            |(st, buf): &mut _, i| {
-                chunks.fill(i, buf);
-                let mut out = vec![FaultOutcome::latent(); buf.len()];
-                grade_counting_switches(&self.grader, st, buf, &mut out, &switches);
-                let summary = GradingSummary::from_outcomes(&out);
-                on_shard(ProgressEvent {
-                    shard: i,
-                    faults: out.len(),
-                    summary: summary.clone(),
-                });
-                (out, summary)
-            },
-        );
-
-        let mut outcomes = vec![FaultOutcome::latent(); chunks.num_faults()];
-        for (i, (out, _)) in graded.iter().enumerate() {
-            chunks.scatter(i, out, &mut outcomes);
+        let start = Instant::now();
+        let (mut done, mut interrupted) = (rounds.from, false);
+        while done < total {
+            let budget = rounds.limit.map_or(usize::MAX, |l| l.saturating_sub(done - rounds.from));
+            if budget == 0 || cancelled() {
+                interrupted = true;
+                break;
+            }
+            let (base, round) = (done, rounds.every.min(total - done).min(budget));
+            let status = run_folded_ctl(
+                round,
+                threads,
+                || -> WorkerScratch {
+                    let scratch = self
+                        .grader
+                        .new_scratch_with_cache(plan.collapse(), windows.clone_handle())
+                        .with_kernel(plan.kernel())
+                        .with_bit_cache(bits.clone_handle());
+                    (scratch, Vec::with_capacity(64), [FaultOutcome::latent(); 64])
+                },
+                A::default,
+                &merge,
+                |(st, buf, out), acc, i| {
+                    let i = base + i;
+                    chunks.fill(i, buf);
+                    let out = &mut out[..buf.len()];
+                    let before = st.kernel_switches();
+                    self.grader.grade_chunk(st, buf, out);
+                    let switched = st.kernel_switches() - before;
+                    if switched != 0 {
+                        switches.fetch_add(switched, Ordering::Relaxed);
+                    }
+                    fold(acc, i, buf, out);
+                    if let Some(progress) = rounds.progress {
+                        let summary = GradingSummary::from_outcomes(out);
+                        progress(ProgressEvent { shard: i, faults: buf.len(), summary });
+                    }
+                },
+                &rounds.ctl,
+            )?;
+            for acc in status.accs {
+                merge(sink, acc);
+            }
+            done += status.completed;
+            interrupted = status.completed < round;
+            after_round(done, sink)?;
+            if interrupted {
+                break;
+            }
         }
-        let summaries: Vec<GradingSummary> = graded.into_iter().map(|(_, s)| s).collect();
-        let summary = sampling::pool_summaries(&summaries);
         let stats = EngineStats {
-            faults: chunks.num_faults(),
-            shards: chunks.num_chunks(),
-            threads: threads.min(chunks.num_chunks()).max(1),
+            faults: chunks.faults_before(done),
+            shards: done,
+            threads: threads.min(total.max(1)),
             wall_ns: start.elapsed().as_nanos(),
             kernel_switches: switches.into_inner(),
         };
-        (outcomes, summary, stats)
+        Ok(Driven { done, interrupted, stats })
     }
 
-    /// MBU path: contiguous slices of the fault vector are the shards;
-    /// each worker grades its slice serially with the multi-bit engine.
+    /// MBU path: near-equal contiguous slices of the fault vector are
+    /// the shards, graded serially with the multi-bit engine on the
+    /// pool and concatenated in shard order after the join.
     fn grade_multi(
         &self,
+        plan: &CampaignPlan<'_>,
         list: &[MultiFault],
-        threads: usize,
-        on_shard: &(impl Fn(ProgressEvent) + Sync),
-    ) -> (Vec<FaultOutcome>, GradingSummary, EngineStats) {
+        on_shard: ChunkProgress<'_>,
+    ) -> (Vec<FaultOutcome>, EngineStats) {
+        let threads = self.threads_for(plan, list.len());
         // A few shards per thread keeps the queue balanced without
         // making progress events too chatty.
-        let shard_count = (threads * 4).clamp(1, list.len().max(1));
-        let base = list.len() / shard_count;
-        let extra = list.len() % shard_count;
-        let mut ranges = Vec::with_capacity(shard_count);
-        let mut lo = 0;
-        for i in 0..shard_count {
-            let len = base + usize::from(i < extra);
-            ranges.push((lo, lo + len));
-            lo += len;
-        }
-
+        let shards = (threads * 4).clamp(1, list.len().max(1));
+        let bound = |i: usize| i * list.len() / shards;
         let start = Instant::now();
-        let graded: Vec<(Vec<FaultOutcome>, GradingSummary)> = run_indexed(
-            ranges.len(),
+        let status = run_folded_ctl(
+            shards,
             threads,
             || (),
-            |(), i| {
-                let (lo, hi) = ranges[i];
-                let out: Vec<FaultOutcome> = list[lo..hi]
+            Vec::new,
+            |a: &mut Vec<_>, b| a.extend(b),
+            |(), acc, i| {
+                let out: Vec<FaultOutcome> = list[bound(i)..bound(i + 1)]
                     .iter()
                     .map(|f| self.grader.classify_multi(f))
                     .collect();
                 let summary = GradingSummary::from_outcomes(&out);
-                on_shard(ProgressEvent {
-                    shard: i,
-                    faults: out.len(),
-                    summary: summary.clone(),
-                });
-                (out, summary)
+                on_shard(ProgressEvent { shard: i, faults: out.len(), summary });
+                acc.push((i, out));
             },
-        );
-        let (outcome_vecs, summaries): (Vec<_>, Vec<_>) = graded.into_iter().unzip();
-        let outcomes: Vec<FaultOutcome> = outcome_vecs.into_iter().flatten().collect();
-        let summary = sampling::pool_summaries(&summaries);
+            &FoldControl::default(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let mut tagged: Vec<(usize, Vec<FaultOutcome>)> =
+            status.accs.into_iter().flatten().collect();
+        tagged.sort_unstable_by_key(|&(i, _)| i);
         let stats = EngineStats {
             faults: list.len(),
-            shards: ranges.len(),
-            threads: threads.min(ranges.len()).max(1),
+            shards,
+            threads: threads.min(shards),
             wall_ns: start.elapsed().as_nanos(),
             kernel_switches: 0,
         };
-        (outcomes, summary, stats)
-    }
-}
-
-/// [`Grader::grade_chunk`], adding the chunk's kernel switch (if it
-/// made one) to the run-wide `switches` tally.
-fn grade_counting_switches(
-    grader: &Grader,
-    scratch: &mut GradeScratch,
-    chunk: &[seugrade_faultsim::Fault],
-    out: &mut [FaultOutcome],
-    switches: &AtomicU64,
-) {
-    let before = scratch.kernel_switches();
-    grader.grade_chunk(scratch, chunk, out);
-    let switched = scratch.kernel_switches() - before;
-    if switched != 0 {
-        switches.fetch_add(switched, Ordering::Relaxed);
+        (tagged.into_iter().flat_map(|(_, out)| out).collect(), stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use seugrade_circuits::{generators, registry};
-    use seugrade_faultsim::{Fault, FaultClass};
+    use seugrade_faultsim::FaultClass;
+    use seugrade_sim::Kernel;
 
     use crate::plan::ShardPolicy;
     use crate::progress::ProgressCounter;
@@ -920,16 +804,35 @@ mod tests {
         };
         let auto = plan_for(Kernel::Auto);
         let engine = Engine::new(&auto);
-        let materialized = engine.run(&auto).stats().kernel_switches;
-        let streamed = engine.run_streamed(&auto).stats().kernel_switches;
+        let materialized = engine.run(&auto);
+        let streamed = engine.run_streamed(&auto);
+        // Rounds of 3 chunks: the resumable path crosses many join
+        // barriers where the other two run the queue as one round.
         let resumable = engine
-            .run_streamed_resumable(&auto, &ResumeOptions::default())
-            .unwrap()
-            .stats
-            .kernel_switches;
-        assert!(materialized > 0, "viper's cones flood under auto");
-        assert_eq!(streamed, materialized);
-        assert_eq!(resumable, materialized);
+            .run_streamed_resumable(&auto, &ResumeOptions { every: 3, ..ResumeOptions::default() })
+            .unwrap();
+        assert!(resumable.is_complete());
+        assert!(resumable.chunks_total > 3 * 2, "the queue spans several rounds");
+        let resumable_stats = resumable.stats;
+        let resumable = resumable.into_streamed_run().unwrap();
+
+        let m = materialized.stats();
+        assert!(m.kernel_switches > 0, "viper's cones flood under auto");
+        for (path, s) in [("streamed", streamed.stats()), ("resumable", &resumable_stats)] {
+            assert_eq!(
+                (s.faults, s.shards, s.threads, s.kernel_switches),
+                (m.faults, m.shards, m.threads, m.kernel_switches),
+                "{path} stats"
+            );
+        }
+        let digest = StreamAccumulator::digest_of(
+            materialized.single().unwrap().as_slice(),
+            materialized.outcomes(),
+        );
+        for (path, run) in [("streamed", &streamed), ("resumable", &resumable)] {
+            assert_eq!(run.summary(), materialized.summary(), "{path} summary");
+            assert_eq!(run.digest(), digest, "{path} digest");
+        }
         let differential = plan_for(Kernel::Differential);
         assert_eq!(engine.run_streamed(&differential).stats().kernel_switches, 0);
     }

@@ -22,7 +22,9 @@
 //!   (or a streamed and a materialized run) be compared fault-for-fault
 //!   without either of them storing a single outcome.
 
-use seugrade_faultsim::{Fault, FaultClass, FaultOutcome, GradingSummary};
+use std::borrow::Cow;
+
+use seugrade_faultsim::{Fault, FaultClass, FaultList, FaultOutcome, GradingSummary};
 use seugrade_netlist::FfIndex;
 
 /// A single-fault campaign cut into same-cycle chunks of at most 64
@@ -52,8 +54,9 @@ pub(crate) enum ChunkPlan<'a> {
     /// An explicit list, counting-sorted into same-cycle runs; `order`
     /// maps sorted position → submission index.
     Ordered {
-        /// The faults, in submission order.
-        faults: &'a [Fault],
+        /// The faults, in submission order: a borrowed list or a drawn
+        /// sample.
+        faults: Cow<'a, FaultList>,
         /// Cycle-major permutation of `0..faults.len()`.
         order: Vec<u32>,
         /// `(lo, hi)` ranges into `order`, one per chunk.
@@ -88,10 +91,10 @@ impl<'a> ChunkPlan<'a> {
     ///
     /// Panics if a fault's cycle is `>= num_cycles`, or if `lanes` is 0
     /// or exceeds the 64-lane word width.
-    pub(crate) fn ordered(faults: &'a [Fault], num_cycles: usize, lanes: usize) -> Self {
+    pub(crate) fn ordered(faults: Cow<'a, FaultList>, num_cycles: usize, lanes: usize) -> Self {
         assert!(lanes >= 1 && lanes <= 64, "chunk lanes out of range");
         let mut counts = vec![0usize; num_cycles];
-        for f in faults {
+        for f in faults.as_slice() {
             assert!((f.cycle as usize) < num_cycles, "fault cycle out of range");
             counts[f.cycle as usize] += 1;
         }
@@ -101,7 +104,7 @@ impl<'a> ChunkPlan<'a> {
         }
         let mut cursor = offsets.clone();
         let mut order = vec![0u32; faults.len()];
-        for (i, f) in faults.iter().enumerate() {
+        for (i, f) in faults.as_slice().iter().enumerate() {
             let c = f.cycle as usize;
             order[cursor[c]] = i as u32;
             cursor[c] += 1;
@@ -173,8 +176,19 @@ impl<'a> ChunkPlan<'a> {
             }
             ChunkPlan::Ordered { faults, order, batches } => {
                 let (lo, hi) = batches[i];
+                let faults = faults.as_slice();
                 buf.extend(order[lo..hi].iter().map(|&fi| faults[fi as usize]));
             }
+        }
+    }
+
+    /// The planned faults in submission order (the exhaustive space
+    /// materialized) — what a materialized run reports alongside its
+    /// verdicts.
+    pub(crate) fn into_fault_list(self, num_cycles: usize) -> FaultList {
+        match self {
+            ChunkPlan::Exhaustive { num_ffs, .. } => FaultList::exhaustive(num_ffs, num_cycles),
+            ChunkPlan::Ordered { faults, .. } => faults.into_owned(),
         }
     }
 
@@ -326,8 +340,6 @@ impl VerdictSink for StreamAccumulator {
 
 #[cfg(test)]
 mod tests {
-    use seugrade_faultsim::FaultList;
-
     use super::*;
 
     #[test]
@@ -369,7 +381,7 @@ mod tests {
     #[test]
     fn ordered_plan_matches_exhaustive_plan_on_the_same_list() {
         let list = FaultList::exhaustive(70, 3);
-        let ordered = ChunkPlan::ordered(list.as_slice(), 3, 64);
+        let ordered = ChunkPlan::ordered(Cow::Borrowed(&list), 3, 64);
         let arithmetic = ChunkPlan::exhaustive(70, 3, 64);
         assert_eq!(ordered.num_chunks(), arithmetic.num_chunks());
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -387,8 +399,8 @@ mod tests {
             ChunkPlan::exhaustive(70, 3, 64),
             ChunkPlan::exhaustive(70, 3, 63),
             ChunkPlan::exhaustive(64, 4, 63),
-            ChunkPlan::ordered(list.as_slice(), 9, 64),
-            ChunkPlan::ordered(list.as_slice(), 9, 63),
+            ChunkPlan::ordered(Cow::Borrowed(&list), 9, 64),
+            ChunkPlan::ordered(Cow::Borrowed(&list), 9, 63),
         ];
         for plan in &plans {
             let mut buf = Vec::new();
@@ -406,7 +418,7 @@ mod tests {
     #[test]
     fn scatter_inverts_fill() {
         let list = FaultList::sampled(10, 9, 40, 3);
-        let plan = ChunkPlan::ordered(list.as_slice(), 9, 64);
+        let plan = ChunkPlan::ordered(Cow::Borrowed(&list), 9, 64);
         let mut buf = Vec::new();
         let mut dest = vec![FaultOutcome::latent(); list.len()];
         for i in 0..plan.num_chunks() {

@@ -224,61 +224,34 @@ impl Grader {
         self.policy
     }
 
-    /// The golden window the grading loops start from for an injection at
-    /// cycle `t`: the whole trace under `Dense` (borrowed, zero copy),
-    /// the checkpoint-aligned `K`-cycle span containing `t` under
-    /// `Checkpoint(K)`.
-    pub(crate) fn first_window(&self, t: usize) -> TraceWindow<'_> {
+    /// The golden window covering cycle `t`: the whole trace under
+    /// `Dense` (borrowed, zero copy), the checkpoint-aligned `K`-cycle
+    /// span containing `t` under `Checkpoint(K)` — so the window after
+    /// `win` is `window_at(win.end())`, whose replay starts exactly at a
+    /// stored checkpoint.
+    pub(crate) fn window_at(&self, t: usize) -> TraceWindow<'_> {
         let (start, end) = self.window_span(t);
         self.golden.window(&self.sim, &self.tb, start, end)
     }
 
-    /// The `start..end` cycle span [`first_window`](Self::first_window)
-    /// covers for an injection at cycle `t`.
+    /// [`window_at`](Self::window_at) served through a [`WindowCache`].
+    fn window_at_cached(&self, t: usize, cache: &mut WindowCache) -> TraceWindow<'_> {
+        let (start, end) = self.window_span(t);
+        self.golden.window_cached(&self.sim, &self.tb, start, end, cache)
+    }
+
+    /// The `start..end` cycle span [`window_at`](Self::window_at) covers.
     fn window_span(&self, t: usize) -> (usize, usize) {
-        let n = self.tb.num_cycles();
         match self.policy {
-            TracePolicy::Dense => (0, n),
-            TracePolicy::Checkpoint(k) => {
-                let start = t - t % k;
-                (start, (start + k).min(n))
-            }
+            TracePolicy::Dense => (0, self.tb.num_cycles()),
+            TracePolicy::Checkpoint(k) => self.aligned_span(t, k),
         }
     }
 
-    /// [`first_window`](Self::first_window) served through a
-    /// [`WindowCache`].
-    fn first_window_cached(&self, t: usize, cache: &mut WindowCache) -> TraceWindow<'_> {
-        let (start, end) = self.window_span(t);
-        self.golden.window_cached(&self.sim, &self.tb, start, end, cache)
-    }
-
-    /// [`next_window`](Self::next_window) served through a
-    /// [`WindowCache`].
-    fn next_window_cached(
-        &self,
-        win: &TraceWindow<'_>,
-        cache: &mut WindowCache,
-    ) -> TraceWindow<'_> {
-        let n = self.tb.num_cycles();
-        let start = win.end();
-        let end = match self.policy {
-            TracePolicy::Dense => n,
-            TracePolicy::Checkpoint(k) => (start + k).min(n),
-        };
-        self.golden.window_cached(&self.sim, &self.tb, start, end, cache)
-    }
-
-    /// The window following `win` (checkpoint-aligned, so the underlying
-    /// replay starts exactly at a stored checkpoint).
-    pub(crate) fn next_window(&self, win: &TraceWindow<'_>) -> TraceWindow<'_> {
-        let n = self.tb.num_cycles();
-        let start = win.end();
-        let end = match self.policy {
-            TracePolicy::Dense => n,
-            TracePolicy::Checkpoint(k) => (start + k).min(n),
-        };
-        self.golden.window(&self.sim, &self.tb, start, end)
+    /// The `k`-aligned span of at most `k` cycles containing cycle `t`.
+    fn aligned_span(&self, t: usize, k: usize) -> (usize, usize) {
+        let start = t - t % k;
+        (start, (start + k).min(self.tb.num_cycles()))
     }
 
     /// The compiled simulator (shared with emulation models).
@@ -327,7 +300,7 @@ impl Grader {
         let n_cycles = self.tb.num_cycles();
         let t = fault.cycle as usize;
         assert!(t < n_cycles, "fault cycle out of range");
-        let mut win = self.first_window(t);
+        let mut win = self.window_at(t);
         let mut st = self.sim.new_state();
         self.sim.load_state(&mut st, win.state_at(t));
         self.sim.flip_ff_lane(&mut st, fault.ff, 0);
@@ -335,7 +308,7 @@ impl Grader {
         let mut decided = false;
         for u in t..n_cycles {
             if u >= win.end() {
-                win = self.next_window(&win);
+                win = self.window_at(u);
             }
             self.sim.set_inputs(&mut st, self.tb.cycle(u));
             self.sim.eval(&mut st);
@@ -418,16 +391,7 @@ impl Grader {
     /// different length than `chunk`.
     pub fn grade_cycle_chunk(&self, st: &mut SimState, chunk: &[Fault], out: &mut [FaultOutcome]) {
         let mut cache = WindowCache::disabled();
-        let mut sim_steps = 0;
-        self.grade_chunk_inner(
-            st,
-            &mut cache,
-            Collapse::Early,
-            &mut sim_steps,
-            Kernel::Tape,
-            chunk,
-            out,
-        );
+        self.grade_chunk_inner(st, &mut cache, Collapse::Early, &mut 0, chunk, out);
     }
 
     /// The lane budget a same-cycle chunk should be cut to for this
@@ -447,16 +411,7 @@ impl Grader {
     /// and window-cache capacity (in spans; 0 disables caching).
     #[must_use]
     pub fn new_scratch(&self, collapse: Collapse, cache_spans: usize) -> GradeScratch {
-        GradeScratch {
-            st: self.sim.new_state(),
-            cache: WindowCache::new(cache_spans),
-            collapse,
-            sim_steps: 0,
-            kernel: Kernel::Auto,
-            diff: self.sim.new_diff_scratch(),
-            bits: BitCache::new(cache_spans),
-            kernel_switches: 0,
-        }
+        self.new_scratch_with_cache(collapse, WindowCache::new(cache_spans))
     }
 
     /// Builds a per-worker [`GradeScratch`] around an existing cache
@@ -501,9 +456,9 @@ impl Grader {
         match scratch.kernel {
             Kernel::Auto => self.grade_chunk_diff(scratch, true, chunk, out),
             Kernel::Differential => self.grade_chunk_diff(scratch, false, chunk, out),
-            k => {
+            Kernel::Tape => {
                 let GradeScratch { st, cache, collapse, sim_steps, .. } = scratch;
-                self.grade_chunk_inner(st, cache, *collapse, sim_steps, k, chunk, out);
+                self.grade_chunk_inner(st, cache, *collapse, sim_steps, chunk, out);
             }
         }
     }
@@ -531,22 +486,13 @@ impl Grader {
         (t, lanes_used)
     }
 
-    /// Runs one full combinational settle with the chunk's kernel.
-    fn eval_faulty(&self, st: &mut SimState, kernel: Kernel) {
-        match kernel {
-            Kernel::Generic => self.sim.eval_generic(st),
-            _ => self.sim.eval(st),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// The full-evaluation chunk walk on the tape.
     fn grade_chunk_inner(
         &self,
         st: &mut SimState,
         cache: &mut WindowCache,
         collapse: Collapse,
         sim_steps: &mut u64,
-        kernel: Kernel,
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
@@ -556,16 +502,16 @@ impl Grader {
             // Only the injection-cycle state comes from the golden trace
             // (one span, served by the cache and shared with the chunk's
             // cycle-major neighbours); lane 63 carries golden from here.
-            let win = self.first_window_cached(t, cache);
+            let win = self.window_at_cached(t, cache);
             self.sim.load_state(st, win.state_at(t));
             for (lane, f) in chunk.iter().enumerate() {
                 self.sim.flip_ff_lane(st, f.ff, lane as u32);
             }
-            self.companion_walk(st, collapse, sim_steps, kernel, out, lanes_used, t);
+            self.companion_walk(st, collapse, sim_steps, out, lanes_used, t);
             return;
         }
 
-        let mut win = self.first_window_cached(t, cache);
+        let mut win = self.window_at_cached(t, cache);
         self.sim.load_state(st, win.state_at(t));
         for (lane, f) in chunk.iter().enumerate() {
             self.sim.flip_ff_lane(st, f.ff, lane as u32);
@@ -573,10 +519,10 @@ impl Grader {
         let mut undecided = lanes_used;
         for u in t..n_cycles {
             if u >= win.end() {
-                win = self.next_window_cached(&win, cache);
+                win = self.window_at_cached(u, cache);
             }
             self.sim.set_inputs(st, self.tb.cycle(u));
-            self.eval_faulty(st, kernel);
+            self.sim.eval(st);
             *sim_steps += 1;
             // Output mismatch mask across all outputs.
             let mut out_diff = 0u64;
@@ -643,13 +589,11 @@ impl Grader {
     /// simulator is deterministic per lane, so lane 63 carries exactly
     /// the bits a replayed window would, and `undecided` never holds
     /// lane 63.
-    #[allow(clippy::too_many_arguments)]
     fn companion_walk(
         &self,
         st: &mut SimState,
         collapse: Collapse,
         sim_steps: &mut u64,
-        kernel: Kernel,
         out: &mut [FaultOutcome],
         mut undecided: u64,
         from: usize,
@@ -661,7 +605,7 @@ impl Grader {
         let golden = |word: u64| ((word as i64) >> 63) as u64;
         for u in from..n_cycles {
             self.sim.set_inputs(st, self.tb.cycle(u));
-            self.eval_faulty(st, kernel);
+            self.sim.eval(st);
             *sim_steps += 1;
             let mut out_diff = 0u64;
             for word in self.sim.outputs_raw(st) {
@@ -709,16 +653,9 @@ impl Grader {
     /// `K`-cycle span under `Checkpoint(K)`, a 64-cycle-aligned span
     /// under `Dense` (bounding span memory the same way checkpoints do).
     fn bit_span_for(&self, t: usize, bits: &mut BitCache) -> Arc<BitSpan> {
-        let n = self.tb.num_cycles();
         let (start, end) = match self.policy {
-            TracePolicy::Dense => {
-                let start = t - t % 64;
-                (start, (start + 64).min(n))
-            }
-            TracePolicy::Checkpoint(k) => {
-                let start = t - t % k;
-                (start, (start + k).min(n))
-            }
+            TracePolicy::Dense => self.aligned_span(t, 64),
+            TracePolicy::Checkpoint(k) => self.aligned_span(t, k),
         };
         self.golden.bit_span_cached(&self.sim, &self.tb, start, end, bits)
     }
@@ -800,59 +737,11 @@ impl Grader {
                 }
                 self.sim.diff_materialize(sc, &span, u + 1, st);
                 *kernel_switches += 1;
-                self.companion_walk(st, collapse, sim_steps, Kernel::Tape, out, undecided, u + 1);
+                self.companion_walk(st, collapse, sim_steps, out, undecided, u + 1);
                 return;
             }
         }
         self.sim.diff_reset(sc);
-    }
-
-    /// Multi-threaded bit-parallel grading: injection cycles are
-    /// distributed over `threads` workers, each with its own simulator
-    /// state. Outcomes are returned in the order of `faults` regardless
-    /// of scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn run_parallel_threaded(&self, faults: &[Fault], threads: usize) -> Vec<FaultOutcome> {
-        assert!(threads > 0, "need at least one thread");
-        if threads == 1 || faults.len() < 128 {
-            return self.run_parallel(faults);
-        }
-        // Partition fault indices by cycle, then deal cycles round-robin
-        // to balance early (long-tail) and late (short-tail) injections.
-        let mut by_cycle: Vec<Vec<usize>> = vec![Vec::new(); self.tb.num_cycles()];
-        for (i, f) in faults.iter().enumerate() {
-            by_cycle[f.cycle as usize].push(i);
-        }
-        let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); threads];
-        for (c, group) in by_cycle.into_iter().enumerate() {
-            partitions[c % threads].extend(group);
-        }
-
-        let mut outcomes = vec![FaultOutcome::latent(); faults.len()];
-        let chunks: Vec<(Vec<usize>, Vec<FaultOutcome>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .map(|part| {
-                    scope.spawn(move || {
-                        let subset: Vec<Fault> =
-                            part.iter().map(|&i| faults[i]).collect();
-                        let sub_outcomes = self.run_parallel(&subset);
-                        (part, sub_outcomes)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        for (part, sub) in chunks {
-            for (i, o) in part.into_iter().zip(sub) {
-                outcomes[i] = o;
-            }
-        }
-        outcomes
     }
 
     /// Per-flip-flop failure counts (a weak-area map, the re-design aid
@@ -1005,17 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_single_thread() {
-        let n = seugrade_circuits::registry::build("b03s").unwrap();
-        let tb = Testbench::random(n.num_inputs(), 40, 13);
-        let g = Grader::new(&n, &tb);
-        let faults = FaultList::exhaustive(n.num_ffs(), 40);
-        let one = g.run_parallel(faults.as_slice());
-        let four = g.run_parallel_threaded(faults.as_slice(), 4);
-        assert_eq!(one, four);
-    }
-
-    #[test]
     fn sampled_subset_consistent_with_exhaustive() {
         let n = seugrade_circuits::registry::build("b06s").unwrap();
         let tb = Testbench::random(n.num_inputs(), 30, 17);
@@ -1094,11 +972,6 @@ mod tests {
                 assert_eq!(cp.trace_policy(), TracePolicy::Checkpoint(k));
                 assert_eq!(cp.run_serial(faults.as_slice()), reference, "{name} K={k} serial");
                 assert_eq!(cp.run_parallel(faults.as_slice()), reference, "{name} K={k} parallel");
-                assert_eq!(
-                    cp.run_parallel_threaded(faults.as_slice(), 3),
-                    reference,
-                    "{name} K={k} threaded"
-                );
             }
         }
     }

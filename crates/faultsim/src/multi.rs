@@ -83,7 +83,7 @@ impl Grader {
         let t = fault.cycle as usize;
         assert!(t < n_cycles, "fault cycle out of range");
         let sim = self.sim();
-        let mut win = self.first_window(t);
+        let mut win = self.window_at(t);
         let mut st = sim.new_state();
         sim.load_state(&mut st, win.state_at(t));
         for &ff in &fault.ffs {
@@ -91,7 +91,7 @@ impl Grader {
         }
         for u in t..n_cycles {
             if u >= win.end() {
-                win = self.next_window(&win);
+                win = self.window_at(u);
             }
             sim.set_inputs(&mut st, self.testbench().cycle(u));
             sim.eval(&mut st);

@@ -1,7 +1,8 @@
 //! The per-job spool: one directory per job under the daemon's spool
-//! root, every file written atomically (sibling temp + `rename`, the
-//! `resume.rs` discipline) so a crash or SIGKILL never leaves a torn
-//! file behind.
+//! root, every file written atomically and durably through the same
+//! helper as engine checkpoints (synced sibling temp file, `rename`,
+//! directory sync), so a crash, SIGKILL or power loss never leaves a
+//! torn file behind.
 //!
 //! ```text
 //! <spool>/j7/job.json      the submitted spec (written once, at submit)
@@ -156,12 +157,11 @@ impl Spool {
     }
 }
 
-/// Writes `text` (plus a trailing newline) via a sibling temp file and
-/// an atomic `rename` — a reader never observes a torn file.
+/// Writes `text` plus a trailing newline through
+/// [`write_durable`](seugrade_engine::write_durable) — a reader never
+/// observes a torn or empty file, even after a power loss.
 fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, format!("{text}\n"))?;
-    fs::rename(&tmp, path)
+    seugrade_engine::write_durable(path, format!("{text}\n").as_bytes())
 }
 
 #[cfg(test)]
@@ -220,7 +220,7 @@ mod tests {
             Some("done")
         );
         // Atomicity leftovers: no .tmp sibling survives a completed write.
-        assert!(!spool.result_path("j1").with_extension("tmp").exists());
+        assert!(!spool.job_dir("j1").join("result.json.tmp").exists());
         fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -2,7 +2,7 @@
 
 use seugrade_netlist::{CellKind, FanoutAdjacency, FfIndex, GateKind, Netlist, SigId};
 
-use crate::tape::{self, Tape};
+use crate::tape::Tape;
 use crate::{broadcast, GoldenTrace, Testbench, TracePolicy};
 
 /// One evaluation step of the generic tape.
@@ -225,25 +225,9 @@ impl CompiledSim {
     /// Runs the specialized SoA tape — homogeneous opcode runs with
     /// `Not`/`Buf` folded into consumer pins as negation masks. Golden
     /// runs, windowed trace replay and full faulty evaluation all go
-    /// through here, so every consumer sees the same (bit-exact) kernel;
-    /// [`eval_generic`](Self::eval_generic) keeps the historical
-    /// per-instruction walk selectable as a baseline.
+    /// through here, so every consumer sees the same (bit-exact) kernel.
     pub fn eval(&self, state: &mut SimState) {
         self.tape.eval(&mut state.values);
-    }
-
-    /// Propagates all combinational logic through the generic
-    /// per-instruction tape — the pre-specialization kernel, kept as the
-    /// reference baseline (`kernel: generic`) and for benchmarking the
-    /// specialized tape against.
-    pub fn eval_generic(&self, state: &mut SimState) {
-        let values = &mut state.values;
-        for instr in &self.instrs {
-            let pins = &self.pin_pool
-                [instr.pin_start as usize..(instr.pin_start + instr.pin_len) as usize];
-            let v = tape::eval_gate(instr.kind, pins, |p| values[p as usize]);
-            values[instr.out as usize] = v;
-        }
     }
 
     /// Latches every flip-flop: `Q <= D`. Call after [`eval`](Self::eval).
@@ -613,10 +597,10 @@ mod tests {
     }
 
     #[test]
-    fn tape_matches_generic_on_every_slot() {
+    fn tape_matches_per_instruction_walk_on_every_slot() {
         // Inverter chains, reconvergence, wide gates, muxes: the
         // specialized tape must leave every signal word — not just
-        // outputs — identical to the generic interpreter's.
+        // outputs — identical to a plain per-instruction walk's.
         let mut b = NetlistBuilder::new("mix");
         let i0 = b.input("i0");
         let i1 = b.input("i1");
@@ -643,7 +627,13 @@ mod tests {
             sim.set_inputs(&mut st_t, &vec);
             sim.set_inputs(&mut st_g, &vec);
             sim.eval(&mut st_t);
-            sim.eval_generic(&mut st_g);
+            // Reference: the unspecialized per-instruction walk.
+            for instr in &sim.instrs {
+                let pins = &sim.pin_pool
+                    [instr.pin_start as usize..(instr.pin_start + instr.pin_len) as usize];
+                let v = crate::tape::eval_gate(instr.kind, pins, |p| st_g.values[p as usize]);
+                st_g.values[instr.out as usize] = v;
+            }
             assert_eq!(st_t.values, st_g.values, "step {step}");
             sim.step(&mut st_t);
             sim.step(&mut st_g);

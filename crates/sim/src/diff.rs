@@ -34,11 +34,11 @@
 //! the same once-per-span economics as the window cache, at 1/64th the
 //! word cost of a value trace.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use seugrade_netlist::FfIndex;
 
-use crate::{tape, CompiledSim, GoldenTrace, SimState, Testbench};
+use crate::{tape, CompiledSim, GoldenTrace, SimState, SpanCache, Testbench};
 
 /// Golden internal values for a contiguous cycle span, bit-packed: one
 /// bit per cell per cycle.
@@ -97,161 +97,10 @@ impl BitSpan {
     }
 }
 
-/// Where a [`BitCache`] keeps its spans (mirrors the window cache:
-/// per-handle or shared-behind-a-mutex across a worker pool).
-#[derive(Debug)]
-enum BitStore {
-    Local(Vec<((usize, usize), Arc<BitSpan>)>),
-    Shared(Arc<Mutex<Vec<((usize, usize), Arc<BitSpan>)>>>),
-}
-
-/// A small LRU of replayed golden [`BitSpan`]s, keyed by the exact
-/// `start..end` cycle span — the differential kernel's counterpart of
-/// [`WindowCache`](crate::WindowCache).
-///
-/// Every span is replayed at most once per store and then served
-/// zero-copy to all 64-lane chunks grading inside it; with a
-/// [`shared`](Self::shared) store the replay is paid once across the
-/// whole worker pool. A capacity of `0` disables retention (every
-/// request replays). Hit/miss/replay counters are always per-handle.
-#[derive(Debug)]
-pub struct BitCache {
-    capacity: usize,
-    store: BitStore,
-    hits: u64,
-    misses: u64,
-    replayed_cycles: u64,
-}
-
-impl BitCache {
-    /// A private (lock-free) cache holding up to `capacity` spans.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        BitCache {
-            capacity,
-            store: BitStore::Local(Vec::with_capacity(capacity.min(64))),
-            hits: 0,
-            misses: 0,
-            replayed_cycles: 0,
-        }
-    }
-
-    /// A cache whose span store is shared with every handle cloned off
-    /// it via [`clone_handle`](Self::clone_handle).
-    #[must_use]
-    pub fn shared(capacity: usize) -> Self {
-        BitCache {
-            capacity,
-            store: BitStore::Shared(Arc::new(Mutex::new(Vec::with_capacity(
-                capacity.min(64),
-            )))),
-            hits: 0,
-            misses: 0,
-            replayed_cycles: 0,
-        }
-    }
-
-    /// A new handle with zeroed counters: same store for a
-    /// [`shared`](Self::shared) cache, a fresh empty cache otherwise.
-    #[must_use]
-    pub fn clone_handle(&self) -> Self {
-        let store = match &self.store {
-            BitStore::Local(_) => {
-                BitStore::Local(Vec::with_capacity(self.capacity.min(64)))
-            }
-            BitStore::Shared(store) => BitStore::Shared(Arc::clone(store)),
-        };
-        BitCache { capacity: self.capacity, store, hits: 0, misses: 0, replayed_cycles: 0 }
-    }
-
-    /// A capacity-0 cache: every span request replays from a checkpoint.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::new(0)
-    }
-
-    /// Maximum number of spans held.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Span requests this handle served from the cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Span requests through this handle that had to replay.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Total golden cycles re-simulated on behalf of this handle.
-    #[must_use]
-    pub fn replayed_cycles(&self) -> u64 {
-        self.replayed_cycles
-    }
-
-    fn store_lookup(
-        entries: &mut Vec<((usize, usize), Arc<BitSpan>)>,
-        key: (usize, usize),
-    ) -> Option<Arc<BitSpan>> {
-        let pos = entries.iter().position(|(k, _)| *k == key)?;
-        let entry = entries.remove(pos);
-        let span = Arc::clone(&entry.1);
-        entries.push(entry);
-        Some(span)
-    }
-
-    fn store_insert(
-        entries: &mut Vec<((usize, usize), Arc<BitSpan>)>,
-        capacity: usize,
-        key: (usize, usize),
-        span: Arc<BitSpan>,
-    ) {
-        if entries.iter().any(|(k, _)| *k == key) {
-            // A racing handle replayed the same span first; keep its copy.
-            return;
-        }
-        if entries.len() == capacity {
-            entries.remove(0);
-        }
-        entries.push((key, span));
-    }
-
-    fn lookup(&mut self, key: (usize, usize)) -> Option<Arc<BitSpan>> {
-        let hit = match &mut self.store {
-            BitStore::Local(entries) => Self::store_lookup(entries, key),
-            BitStore::Shared(store) => {
-                let mut entries =
-                    store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                Self::store_lookup(&mut entries, key)
-            }
-        };
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
-    }
-
-    fn insert(&mut self, key: (usize, usize), span: Arc<BitSpan>) {
-        if self.capacity == 0 {
-            return;
-        }
-        match &mut self.store {
-            BitStore::Local(entries) => {
-                Self::store_insert(entries, self.capacity, key, span);
-            }
-            BitStore::Shared(store) => {
-                let mut entries =
-                    store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                Self::store_insert(&mut entries, self.capacity, key, span);
-            }
-        }
-    }
-}
+/// A [`SpanCache`] of replayed golden [`BitSpan`]s — the differential
+/// kernel's golden source: every span is replayed at most once per store
+/// and then served zero-copy to all chunks grading inside it.
+pub type BitCache = SpanCache<BitSpan>;
 
 /// Per-worker mutable state of the differential kernel: the deviation
 /// words, the list of currently-deviant slots, and the cone worklist.
@@ -523,16 +372,8 @@ impl GoldenTrace {
         assert!(end <= self.num_cycles(), "bit span end {end} beyond trace");
         assert_eq!(sim.num_ffs(), self.num_ffs(), "bit span sim flip-flop count");
         assert_eq!(tb.num_cycles(), self.num_cycles(), "bit span test-bench length");
-        let key = (start, end);
-        if let Some(span) = cache.lookup(key) {
-            return span;
-        }
         let (seed, from) = self.seed_for(start);
-        let span = Arc::new(sim.capture_bit_span(tb, seed, from, start, end));
-        cache.misses += 1;
-        cache.replayed_cycles += (end - from) as u64;
-        cache.insert(key, Arc::clone(&span));
-        span
+        cache.get_or_replay((start, end), from, || sim.capture_bit_span(tb, seed, from, start, end))
     }
 }
 

@@ -66,6 +66,7 @@ mod diff;
 pub mod equiv;
 mod event;
 mod rng;
+mod span_cache;
 mod tape;
 mod testbench;
 mod trace;
@@ -76,6 +77,7 @@ pub use diff::{BitCache, BitSpan, DiffScratch};
 pub use equiv::{equiv_check, Counterexample};
 pub use event::EventSim;
 pub use rng::SplitMix64;
+pub use span_cache::SpanCache;
 pub use testbench::Testbench;
 pub use trace::{GoldenTrace, TracePolicy, TraceWindow, WindowCache};
 
@@ -86,8 +88,6 @@ pub use trace::{GoldenTrace, TracePolicy, TraceWindow, WindowCache};
 /// count — so the choice is purely a speed knob (and is therefore
 /// excluded from campaign resume fingerprints):
 ///
-/// - [`Generic`](Kernel::Generic) — the historical per-instruction
-///   interpreter: full netlist evaluation every faulty cycle.
 /// - [`Tape`](Kernel::Tape) — full evaluation through the specialized
 ///   SoA opcode runs (branch-free inner loops, `Not`/`Buf` folded into
 ///   consumer pins).
@@ -109,8 +109,6 @@ pub enum Kernel {
     /// Differential, handing flooded chunks over to the tape walk.
     #[default]
     Auto,
-    /// Per-instruction interpreter, full evaluation.
-    Generic,
     /// Specialized SoA tape, full evaluation.
     Tape,
     /// Dirty-frontier deviation-cone evaluation.
@@ -120,20 +118,17 @@ pub enum Kernel {
 impl Kernel {
     /// Every concrete (non-`Auto`) kernel — the axis the equivalence
     /// suites and bench sweeps iterate over.
-    pub const CONCRETE: [Kernel; 3] = [Kernel::Generic, Kernel::Tape, Kernel::Differential];
+    pub const CONCRETE: [Kernel; 2] = [Kernel::Tape, Kernel::Differential];
 
     /// Every kernel, `Auto` included — whose chunks may switch kernel
     /// mid-walk, so it needs pinning alongside the concrete ones.
-    pub const ALL: [Kernel; 4] =
-        [Kernel::Generic, Kernel::Tape, Kernel::Differential, Kernel::Auto];
+    pub const ALL: [Kernel; 3] = [Kernel::Tape, Kernel::Differential, Kernel::Auto];
 
-    /// Parses a kernel label: `auto`, `generic`, `tape` or
-    /// `differential`. The inverse of [`label`](Self::label).
+    /// Parses a kernel label: `auto`, `tape` or `differential`. The inverse of [`label`](Self::label).
     #[must_use]
     pub fn from_label(s: &str) -> Option<Self> {
         match s {
             "auto" => Some(Kernel::Auto),
-            "generic" => Some(Kernel::Generic),
             "tape" => Some(Kernel::Tape),
             "differential" => Some(Kernel::Differential),
             _ => None,
@@ -145,7 +140,6 @@ impl Kernel {
     pub fn label(&self) -> &'static str {
         match self {
             Kernel::Auto => "auto",
-            Kernel::Generic => "generic",
             Kernel::Tape => "tape",
             Kernel::Differential => "differential",
         }

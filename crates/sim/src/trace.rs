@@ -1,9 +1,9 @@
 //! The fault-free reference ("golden") run: dense or checkpointed.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::{CompiledSim, Testbench};
+use crate::{CompiledSim, SpanCache, Testbench};
 
 /// How a [`GoldenTrace`] stores the reference run.
 ///
@@ -129,194 +129,20 @@ enum WindowData<'a> {
     Shared(Arc<SpanData>),
 }
 
-/// One replayed checkpoint-aligned span, shareable across chunks (and
-/// across the windows handed out for them) through a [`WindowCache`].
+/// One replayed checkpoint-aligned span of golden outputs and states,
+/// shareable across chunks (and across the windows handed out for them)
+/// through a [`WindowCache`].
 #[derive(Debug)]
-struct SpanData {
+pub struct SpanData {
     outputs: Vec<Vec<bool>>,
     states: Vec<Vec<bool>>,
 }
 
-/// Where a [`WindowCache`] keeps its spans: a plain per-handle vector,
-/// or a store shared (behind a mutex) by every handle cloned from the
-/// same [`WindowCache::shared`] root — so a pool of grading workers
-/// replays each span once *in total*, not once per worker.
-#[derive(Debug)]
-enum CacheStore {
-    /// Exclusive to this handle; no locking.
-    Local(Vec<((usize, usize), Arc<SpanData>)>),
-    /// Shared by all handles cloned from the same root. The lock is
-    /// held only for lookup/insert (never during a replay), and poison
-    /// is ignored — the store holds immutable golden spans, which a
-    /// worker panic cannot corrupt.
-    Shared(Arc<Mutex<Vec<((usize, usize), Arc<SpanData>)>>>),
-}
-
-/// A small LRU of replayed golden spans, keyed by the exact
-/// `start..end` cycle span.
-///
-/// Under [`TracePolicy::Checkpoint`] every
-/// [`window`](GoldenTrace::window) call replays the span from the
-/// nearest stored checkpoint — pure waste when adjacent chunks of a
-/// cycle-major plan ask for the *same* span over and over. The cache
-/// reconstructs a span once, wraps it in an [`Arc`], and serves every
-/// later request for the same span zero-copy via
-/// [`GoldenTrace::window_cached`]. Eviction is least-recently-used.
-///
-/// [`new`](Self::new) makes a private, lock-free cache.
-/// [`shared`](Self::shared) makes a cache whose *store* is shared by
-/// every handle [`clone_handle`](Self::clone_handle) produces — the
-/// engine gives each worker a handle of one per-run store, so the
-/// replay tax is paid once per span across the whole pool.
-/// Hit/miss/replay counters always stay per-handle.
-///
-/// A capacity of `0` disables caching: every request replays, which is
-/// exactly the pre-cache behaviour (the equivalence suites exploit this
-/// to pin verdict digests across cache configurations). Dense traces
-/// never touch the cache — their windows borrow the stored trace.
-#[derive(Debug)]
-pub struct WindowCache {
-    capacity: usize,
-    /// LRU order: least-recent first, most-recent last.
-    store: CacheStore,
-    hits: u64,
-    misses: u64,
-    replayed_cycles: u64,
-}
-
-impl WindowCache {
-    /// A private (lock-free) cache holding up to `capacity` spans.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        WindowCache {
-            capacity,
-            store: CacheStore::Local(Vec::with_capacity(capacity.min(64))),
-            hits: 0,
-            misses: 0,
-            replayed_cycles: 0,
-        }
-    }
-
-    /// A cache whose span store is shared with every handle cloned off
-    /// it via [`clone_handle`](Self::clone_handle).
-    #[must_use]
-    pub fn shared(capacity: usize) -> Self {
-        WindowCache {
-            capacity,
-            store: CacheStore::Shared(Arc::new(Mutex::new(Vec::with_capacity(
-                capacity.min(64),
-            )))),
-            hits: 0,
-            misses: 0,
-            replayed_cycles: 0,
-        }
-    }
-
-    /// A new handle with zeroed counters. For a [`shared`](Self::shared)
-    /// cache the handle uses the *same* span store; for a private cache
-    /// it is simply a fresh empty cache of the same capacity.
-    #[must_use]
-    pub fn clone_handle(&self) -> Self {
-        let store = match &self.store {
-            CacheStore::Local(_) => {
-                CacheStore::Local(Vec::with_capacity(self.capacity.min(64)))
-            }
-            CacheStore::Shared(store) => CacheStore::Shared(Arc::clone(store)),
-        };
-        WindowCache { capacity: self.capacity, store, hits: 0, misses: 0, replayed_cycles: 0 }
-    }
-
-    /// A capacity-0 cache: every span request replays from a checkpoint.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::new(0)
-    }
-
-    /// Maximum number of spans held.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Span requests this handle served from the cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Span requests through this handle that had to replay from a
-    /// checkpoint (capacity-0 requests count here too).
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Total golden cycles re-simulated on behalf of this handle — the
-    /// replay tax actually paid. Each miss adds the distance from the
-    /// nearest stored checkpoint to the span's end.
-    #[must_use]
-    pub fn replayed_cycles(&self) -> u64 {
-        self.replayed_cycles
-    }
-
-    fn store_lookup(
-        entries: &mut Vec<((usize, usize), Arc<SpanData>)>,
-        key: (usize, usize),
-    ) -> Option<Arc<SpanData>> {
-        let pos = entries.iter().position(|(k, _)| *k == key)?;
-        let entry = entries.remove(pos);
-        let span = Arc::clone(&entry.1);
-        entries.push(entry);
-        Some(span)
-    }
-
-    fn store_insert(
-        entries: &mut Vec<((usize, usize), Arc<SpanData>)>,
-        capacity: usize,
-        key: (usize, usize),
-        span: Arc<SpanData>,
-    ) {
-        if entries.iter().any(|(k, _)| *k == key) {
-            // A racing handle replayed the same span first; keep its copy.
-            return;
-        }
-        if entries.len() == capacity {
-            entries.remove(0);
-        }
-        entries.push((key, span));
-    }
-
-    fn lookup(&mut self, key: (usize, usize)) -> Option<Arc<SpanData>> {
-        let hit = match &mut self.store {
-            CacheStore::Local(entries) => Self::store_lookup(entries, key),
-            CacheStore::Shared(store) => {
-                let mut entries =
-                    store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                Self::store_lookup(&mut entries, key)
-            }
-        };
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
-    }
-
-    fn insert(&mut self, key: (usize, usize), span: Arc<SpanData>) {
-        if self.capacity == 0 {
-            return;
-        }
-        match &mut self.store {
-            CacheStore::Local(entries) => {
-                Self::store_insert(entries, self.capacity, key, span);
-            }
-            CacheStore::Shared(store) => {
-                let mut entries =
-                    store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                Self::store_insert(&mut entries, self.capacity, key, span);
-            }
-        }
-    }
-}
+/// A [`SpanCache`] of replayed golden value windows: each cached span
+/// serves every [`TraceWindow`] later requested for it through
+/// [`GoldenTrace::window_cached`]. Dense traces never touch it — their
+/// windows borrow the stored trace.
+pub type WindowCache = SpanCache<SpanData>;
 
 impl TraceWindow<'_> {
     /// First cycle covered by the window.
@@ -555,19 +381,13 @@ impl GoldenTrace {
         let Repr::Checkpoint { interval, .. } = &self.repr else {
             return self.window(sim, tb, start, end);
         };
-        let key = (start, end);
-        if let Some(span) = cache.lookup(key) {
-            return TraceWindow { start, data: WindowData::Shared(span) };
-        }
-        let replay_from = (start / interval) * interval;
-        let win = self.window(sim, tb, start, end);
-        cache.misses += 1;
-        cache.replayed_cycles += (end - replay_from) as u64;
-        let WindowData::Owned { outputs, states } = win.data else {
-            unreachable!("checkpoint windows are owned replays");
-        };
-        let span = Arc::new(SpanData { outputs, states });
-        cache.insert(key, Arc::clone(&span));
+        let span = cache.get_or_replay((start, end), start - start % interval, || {
+            let WindowData::Owned { outputs, states } = self.window(sim, tb, start, end).data
+            else {
+                unreachable!("checkpoint windows are owned replays");
+            };
+            SpanData { outputs, states }
+        });
         TraceWindow { start, data: WindowData::Shared(span) }
     }
 

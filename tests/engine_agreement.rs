@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use seugrade::generators::{random_sequential, RandomCircuitConfig};
 use seugrade::prelude::*;
 
-/// Serial reference vs bit-parallel vs multi-threaded on every
-/// registered benchmark circuit.
+/// Serial reference vs bit-parallel on every registered benchmark
+/// circuit (the sharded engine's thread counts are pinned below).
 #[test]
 fn all_engines_agree_on_registry_circuits() {
     for name in registry::NAMES {
@@ -35,9 +35,7 @@ fn all_engines_agree_on_registry_circuits() {
         };
         let serial = grader.run_serial(faults.as_slice());
         let parallel = grader.run_parallel(faults.as_slice());
-        let threaded = grader.run_parallel_threaded(faults.as_slice(), 3);
         assert_eq!(serial, parallel, "{name}: serial vs parallel");
-        assert_eq!(parallel, threaded, "{name}: parallel vs threaded");
     }
 }
 

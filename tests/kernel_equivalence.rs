@@ -1,11 +1,10 @@
-//! The faulty-evaluation kernel is a pure speed knob: the generic
-//! per-gate interpreter, the specialized SoA tape, the differential
-//! dirty-frontier kernel and the `auto` hybrid (differential, handing
-//! flooded chunks to the tape walk) must grade every fault to the
-//! identical verdict. This battery pins all four to bit-identical
-//! order-independent digests across the whole registry, every trace
-//! policy, collapse on/off and 1/2/4/8 worker threads — and repeats the
-//! claim on generated random circuits.
+//! The faulty-evaluation kernel is a pure speed knob: the specialized
+//! SoA tape, the differential dirty-frontier kernel and the `auto`
+//! hybrid (differential, handing flooded chunks to the tape walk) must
+//! grade every fault to the identical verdict. This battery pins all
+//! three to bit-identical order-independent digests across the whole
+//! registry, every trace policy, collapse on/off and 1/2/4/8 worker
+//! threads — and repeats the claim on generated random circuits.
 
 use proptest::prelude::*;
 use seugrade::generators::{random_sequential, RandomCircuitConfig};
