@@ -5,9 +5,10 @@
 //! bottleneck and grades all 34,400 b14 faults in bulk. This crate is the
 //! software analogue of that move for the workspace's own engines — where
 //! [`Grader`](seugrade_faultsim::Grader) runs one fault list on one core,
-//! this runtime shards a campaign into same-cycle 64-lane batches,
-//! dispatches them across a home-grown chunk-queue thread pool
-//! (`std::thread::scope`, no external dependencies), and merges the
+//! this runtime shards a campaign into same-cycle batches of up to 63
+//! faults (lane 63 carries the golden companion), dispatches them
+//! across a home-grown chunk-queue thread pool (`std::thread::scope`,
+//! no external dependencies), and merges the
 //! per-shard verdicts **deterministically**: every thread count produces
 //! bit-identical outcomes, equal to the serial reference engine.
 //!

@@ -77,7 +77,7 @@ pub enum FaultSource {
 
 /// How a fault list is split across worker threads.
 ///
-/// Shards are 64-lane batches of faults sharing an injection cycle,
+/// Shards are batches of up to 63 faults sharing an injection cycle,
 /// pulled from a shared chunk queue by each worker; the policy only
 /// controls how many workers pull and when sharding is worth it at all.
 /// Outcomes never depend on the policy — the engine merges per-shard
@@ -159,7 +159,7 @@ impl<'a> CampaignPlan<'a> {
     /// Defaults: exhaustive fault list, all three techniques,
     /// [`ShardPolicy::auto`], [`TracePolicy::Dense`],
     /// [`Collapse::Early`], a
-    /// [`DEFAULT_WINDOW_CACHE_SPANS`]-span window cache per worker,
+    /// [`DEFAULT_WINDOW_CACHE_SPANS`]-span golden span store per run,
     /// [`Kernel::Auto`].
     #[must_use]
     pub fn builder(circuit: &'a Netlist, tb: &'a Testbench) -> CampaignPlanBuilder<'a> {
@@ -222,7 +222,8 @@ impl<'a> CampaignPlan<'a> {
         self.collapse
     }
 
-    /// Per-worker window-cache capacity in spans (0 disables caching).
+    /// Capacity of the run's golden bit-span store, in spans (0
+    /// disables caching).
     /// Affects replay cost only, never verdicts — which is also why it
     /// is excluded from resume fingerprints: a campaign checkpointed
     /// under one cache size (or collapse mode) can resume under another.
@@ -233,7 +234,7 @@ impl<'a> CampaignPlan<'a> {
 
     /// The faulty-evaluation [`Kernel`] workers grade with. A pure speed
     /// knob: every kernel produces bit-identical verdicts (the
-    /// equivalence suites pin the digests), so — like the window cache —
+    /// equivalence suites pin the digests), so — like the span cache —
     /// it is excluded from resume fingerprints: a campaign checkpointed
     /// under one kernel can resume under another.
     #[must_use]
@@ -347,8 +348,8 @@ impl<'a> CampaignPlanBuilder<'a> {
         self
     }
 
-    /// Sets the per-worker window-cache capacity in replayed spans
-    /// (0 disables caching; verdicts never change).
+    /// Sets the capacity of the run's golden bit-span store in
+    /// replayed spans (0 disables caching; verdicts never change).
     #[must_use]
     pub fn window_cache(mut self, spans: usize) -> Self {
         self.window_cache = spans;

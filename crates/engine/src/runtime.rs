@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use seugrade_faultsim::{Fault, FaultList, FaultOutcome, Grader, GradingSummary, MultiFault};
 use seugrade_netlist::Netlist;
-use seugrade_sim::{BitCache, Testbench, TracePolicy, WindowCache};
+use seugrade_sim::{BitCache, Testbench, TracePolicy};
 
 use crate::error::EngineError;
 use crate::plan::{CampaignPlan, FaultSource, Technique};
@@ -22,9 +22,9 @@ use crate::resume::{Checkpoint, Fingerprint, PersistentSink, ResumeError, Resume
 use crate::stream::{ChunkPlan, StreamAccumulator, VerdictSink};
 
 /// Per-worker grading scratch: the grader's scratch (simulator state +
-/// span caches + collapse mode + kernel), the chunk fault buffer, and
-/// the 64-lane outcome array.
-type WorkerScratch = (seugrade_faultsim::GradeScratch, Vec<Fault>, [FaultOutcome; 64]);
+/// golden span cache handle + collapse mode + kernel), the chunk fault
+/// buffer, and the chunk's outcome array.
+type WorkerScratch = (seugrade_faultsim::GradeScratch, Vec<Fault>, [FaultOutcome; 63]);
 
 /// Observer of finished chunks, called from worker threads.
 type ChunkProgress<'r> = &'r (dyn Fn(ProgressEvent) + Sync);
@@ -270,11 +270,12 @@ impl ResumableRun<StreamAccumulator> {
 ///
 /// # Determinism
 ///
-/// Shards are same-cycle 64-lane batches dispatched through a chunk
-/// queue; which worker grades which shard varies run to run, but verdicts
-/// depend only on the fault itself, and the engine merges per-shard
-/// results back into submission order. Every `(fault source, seed)` pair
-/// therefore produces **bit-identical outcomes at every thread count**,
+/// Shards are same-cycle batches of up to 63 faults (lane 63 carries
+/// the golden companion) dispatched through a chunk queue; which worker
+/// grades which shard varies run to run, but verdicts depend only on
+/// the fault itself, and the engine merges per-shard results back into
+/// submission order. Every `(fault source, seed)` pair therefore
+/// produces **bit-identical outcomes at every thread count**,
 /// equal to the serial reference engine — a property the cross-engine
 /// agreement suite enforces.
 #[derive(Debug)]
@@ -313,10 +314,10 @@ impl Engine {
     /// Builds the runtime with an explicit [`TracePolicy`].
     ///
     /// Under [`TracePolicy::Checkpoint`] the engine's golden-trace
-    /// memory is `O(FFs × cycles / K)` and every grading shard holds at
-    /// most one `K`-cycle window; verdicts are bit-identical to the
-    /// dense engine and to the serial reference (the agreement suites
-    /// enforce both).
+    /// memory is `O(FFs × cycles / K)` and golden spans are replayed
+    /// from the nearest checkpoint on demand; verdicts are bit-identical
+    /// to the dense engine and to the serial reference (the agreement
+    /// suites enforce both).
     ///
     /// # Panics
     ///
@@ -651,9 +652,9 @@ impl Engine {
         let total = chunks.num_chunks();
         let threads = self.threads_for(plan, chunks.num_faults());
         let cancelled = || rounds.ctl.cancel.is_some_and(crate::CancelToken::is_cancelled);
-        // One span store per run, shared by every worker of every round:
-        // a span is replayed once per run, not once per worker or round.
-        let windows = WindowCache::shared(plan.window_cache());
+        // One golden span store per run, shared by every worker of every
+        // round: a span is replayed once per run, not once per worker or
+        // round.
         let bits = BitCache::shared(plan.window_cache());
         let switches = AtomicU64::new(0);
         let start = Instant::now();
@@ -671,10 +672,9 @@ impl Engine {
                 || -> WorkerScratch {
                     let scratch = self
                         .grader
-                        .new_scratch_with_cache(plan.collapse(), windows.clone_handle())
-                        .with_kernel(plan.kernel())
-                        .with_bit_cache(bits.clone_handle());
-                    (scratch, Vec::with_capacity(64), [FaultOutcome::latent(); 64])
+                        .new_scratch_with_cache(plan.collapse(), bits.clone_handle())
+                        .with_kernel(plan.kernel());
+                    (scratch, Vec::with_capacity(63), [FaultOutcome::latent(); 63])
                 },
                 A::default,
                 &merge,

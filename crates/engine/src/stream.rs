@@ -7,9 +7,9 @@
 //!
 //! - `ChunkPlan` (crate-internal) turns any single-fault
 //!   [`FaultSource`](crate::FaultSource) into a sequence of same-cycle
-//!   ≤ 64-lane chunks. For the exhaustive source the chunks are
-//!   *computed arithmetically* — no `flip-flops × cycles` fault vector
-//!   ever exists; workers regenerate their chunk from its index.
+//!   chunks of at most 63 faults. For the exhaustive source the chunks
+//!   are *computed arithmetically* — no `flip-flops × cycles` fault
+//!   vector ever exists; workers regenerate their chunk from its index.
 //! - [`VerdictSink`] is the online accumulator contract: each worker
 //!   folds `(fault, outcome)` pairs into a private sink, and the
 //!   per-worker sinks are merged after the join. Sinks must be
@@ -27,11 +27,12 @@ use std::borrow::Cow;
 use seugrade_faultsim::{Fault, FaultClass, FaultList, FaultOutcome, GradingSummary};
 use seugrade_netlist::FfIndex;
 
-/// A single-fault campaign cut into same-cycle chunks of at most 64
+/// A single-fault campaign cut into same-cycle chunks of at most
+/// [`Grader::chunk_lanes`](seugrade_faultsim::Grader::chunk_lanes)
 /// faults, in cycle-major order.
 ///
 /// The chunk sequence is the unit the pool's workers pull lazily; a
-/// worker holds one chunk (≤ 64 faults) and its grading scratch at a
+/// worker holds one chunk (≤ 63 faults) and its grading scratch at a
 /// time, so campaign memory is independent of the fault-space size on
 /// the exhaustive path.
 #[derive(Debug)]

@@ -4,13 +4,13 @@ use std::sync::Arc;
 
 use seugrade_netlist::Netlist;
 use seugrade_sim::{
-    broadcast, BitCache, BitSpan, CompiledSim, DiffScratch, GoldenTrace, Kernel, SimState,
-    Testbench, TracePolicy, TraceWindow, WindowCache,
+    BitCache, BitSpan, CompiledSim, DiffScratch, GoldenTrace, Kernel, SimState, Testbench,
+    TracePolicy, TraceWindow,
 };
 
 use crate::{Fault, FaultClass, FaultOutcome};
 
-/// Default [`WindowCache`] capacity (in spans) for grading scratch
+/// Default [`BitCache`] capacity (in spans) for grading scratch
 /// state: enough that a worker walking a cycle-major plan keeps its
 /// current span plus a few neighbours hot, small enough that per-worker
 /// memory stays `O(FFs × K)`.
@@ -75,18 +75,18 @@ impl Collapse {
     }
 }
 
-/// Per-worker grading scratch: a reusable [`SimState`], a private
-/// [`WindowCache`], the [`Collapse`] mode, and work counters.
+/// Per-worker grading scratch: a reusable [`SimState`], the deviation
+/// state, a golden [`BitCache`], the [`Collapse`] mode, the [`Kernel`]
+/// and work counters.
 ///
 /// One `GradeScratch` belongs to exactly one worker thread (no sharing,
 /// no locks); the engine's thread pool creates one per worker via
-/// [`Grader::new_scratch`] and rebuilds it after a contained panic.
-/// Scratch configuration affects only *speed* — verdicts are identical
-/// for every collapse mode and cache capacity.
+/// [`Grader::new_scratch_with_cache`] and rebuilds it after a contained
+/// panic. Scratch configuration affects only *speed* — verdicts are
+/// identical for every collapse mode, kernel and cache capacity.
 #[derive(Debug)]
 pub struct GradeScratch {
     st: SimState,
-    cache: WindowCache,
     collapse: Collapse,
     sim_steps: u64,
     kernel: Kernel,
@@ -102,13 +102,8 @@ impl GradeScratch {
         self.collapse
     }
 
-    /// The window cache (for hit/miss/replay statistics).
-    #[must_use]
-    pub fn cache(&self) -> &WindowCache {
-        &self.cache
-    }
-
-    /// The golden bit-span cache used by the differential kernel.
+    /// The golden bit-span cache every chunk walk reads (for
+    /// hit/miss/replay statistics).
     #[must_use]
     pub fn bit_cache(&self) -> &BitCache {
         &self.bits
@@ -129,27 +124,19 @@ impl GradeScratch {
         self
     }
 
-    /// Replaces the bit-span cache — the engine hands every worker a
-    /// [`BitCache::clone_handle`] of one shared per-run store, so the
-    /// pool replays each golden bit span once in total (chainable).
-    #[must_use]
-    pub fn with_bit_cache(mut self, bits: BitCache) -> Self {
-        self.bits = bits;
-        self
-    }
-
     /// Faulty-machine cycles simulated through this scratch (one per
-    /// `eval` of a chunk walk; golden replay cycles are counted by the
-    /// [`cache`](Self::cache) instead). The collapse-equivalence suite
-    /// uses this to prove a retired lane is never re-simulated.
+    /// walked cycle of a chunk, differential or tape; golden replay
+    /// cycles are counted by the [`bit_cache`](Self::bit_cache)
+    /// instead). The collapse-equivalence suite uses this to prove a
+    /// retired lane is never re-simulated.
     #[must_use]
     pub fn sim_steps(&self) -> u64 {
         self.sim_steps
     }
 
-    /// Chunks graded through this scratch that left deviation space:
-    /// [`Kernel::Auto`] chunks whose deviation cone flooded the netlist
-    /// and which finished on the companion-lane tape walk.
+    /// Chunks graded through this scratch whose deviation cone flooded
+    /// the netlist: [`Kernel::Auto`] chunks that left deviation space
+    /// mid-walk and finished on the companion-lane tape walk.
     #[must_use]
     pub fn kernel_switches(&self) -> u64 {
         self.kernel_switches
@@ -165,15 +152,16 @@ impl GradeScratch {
 ///
 /// # Golden-trace storage
 ///
-/// The grader consumes the golden run exclusively through bounded
-/// [`TraceWindow`]s, so it works identically under every
-/// [`TracePolicy`]: with [`TracePolicy::Dense`] (the
-/// [`new`](Self::new) default) windows borrow the stored trace, with
-/// [`TracePolicy::Checkpoint`] ([`with_policy`](Self::with_policy)) a
-/// grading shard holds only its current `K`-cycle window — memory
-/// `O(FFs × cycles / K)` instead of `O(FFs × cycles)`, at the cost of
-/// replaying the golden machine once per window. Verdicts are
-/// bit-identical across policies (enforced by the agreement suites).
+/// The grader consumes the golden run only through bounded spans —
+/// [`TraceWindow`]s for the serial reference, bit-packed golden
+/// [`BitSpan`]s for the bit-parallel walk — so it works identically
+/// under every [`TracePolicy`]: with [`TracePolicy::Dense`] (the
+/// [`new`](Self::new) default) every cycle's state is stored, with
+/// [`TracePolicy::Checkpoint`] ([`with_policy`](Self::with_policy)) only
+/// every `K`-th — memory `O(FFs × cycles / K)` instead of
+/// `O(FFs × cycles)`, at the cost of replaying the golden machine once
+/// per span. Verdicts are bit-identical across policies (enforced by
+/// the agreement suites).
 #[derive(Debug)]
 pub struct Grader {
     sim: CompiledSim,
@@ -230,22 +218,11 @@ impl Grader {
     /// `win` is `window_at(win.end())`, whose replay starts exactly at a
     /// stored checkpoint.
     pub(crate) fn window_at(&self, t: usize) -> TraceWindow<'_> {
-        let (start, end) = self.window_span(t);
-        self.golden.window(&self.sim, &self.tb, start, end)
-    }
-
-    /// [`window_at`](Self::window_at) served through a [`WindowCache`].
-    fn window_at_cached(&self, t: usize, cache: &mut WindowCache) -> TraceWindow<'_> {
-        let (start, end) = self.window_span(t);
-        self.golden.window_cached(&self.sim, &self.tb, start, end, cache)
-    }
-
-    /// The `start..end` cycle span [`window_at`](Self::window_at) covers.
-    fn window_span(&self, t: usize) -> (usize, usize) {
-        match self.policy {
+        let (start, end) = match self.policy {
             TracePolicy::Dense => (0, self.tb.num_cycles()),
             TracePolicy::Checkpoint(k) => self.aligned_span(t, k),
-        }
+        };
+        self.golden.window(&self.sim, &self.tb, start, end)
     }
 
     /// The `k`-aligned span of at most `k` cycles containing cycle `t`.
@@ -338,12 +315,12 @@ impl Grader {
     }
 
     // ------------------------------------------------------------------
-    // Bit-parallel engine (64 faults per pass)
+    // Bit-parallel engine (63 faults + the golden companion per pass)
     // ------------------------------------------------------------------
 
     /// Grades a fault list with the bit-parallel engine: faults sharing an
-    /// injection cycle are packed 64 to a simulation pass. Outcomes are
-    /// returned in the order of `faults`.
+    /// injection cycle are packed [`chunk_lanes`](Self::chunk_lanes) to a
+    /// simulation pass. Outcomes are returned in the order of `faults`.
     #[must_use]
     pub fn run_parallel(&self, faults: &[Fault]) -> Vec<FaultOutcome> {
         let mut scratch = self.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
@@ -359,7 +336,7 @@ impl Grader {
         }
         let lanes = self.chunk_lanes();
         let mut buf = Vec::with_capacity(lanes);
-        let mut out_buf = [FaultOutcome::latent(); 64];
+        let mut out_buf = vec![FaultOutcome::latent(); lanes];
         for group in &by_cycle {
             for chunk in group.chunks(lanes) {
                 buf.clear();
@@ -373,57 +350,31 @@ impl Grader {
         outcomes
     }
 
-    /// Grades up to 64 faults sharing one injection cycle in a single
-    /// bit-parallel pass, reusing `st` as scratch and writing the verdicts
-    /// into `out` (parallel to `chunk`).
-    ///
-    /// This is the shard-sized building block the batching engines are
-    /// made of: an external runtime can cut any fault list into
-    /// same-cycle chunks, grade each chunk on whichever thread with
-    /// whichever scratch state, and the verdicts stay identical to the
-    /// serial engine's — they depend only on the fault, never on lane
-    /// placement or chunk composition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is empty, holds more than 64 faults, mixes
-    /// injection cycles, targets an out-of-range cycle, or if `out` has a
-    /// different length than `chunk`.
-    pub fn grade_cycle_chunk(&self, st: &mut SimState, chunk: &[Fault], out: &mut [FaultOutcome]) {
-        let mut cache = WindowCache::disabled();
-        self.grade_chunk_inner(st, &mut cache, Collapse::Early, &mut 0, chunk, out);
-    }
-
-    /// The lane budget a same-cycle chunk should be cut to for this
-    /// grader: 64 under [`TracePolicy::Dense`], 63 under
-    /// [`TracePolicy::Checkpoint`] — checkpointed chunks reserve lane 63
-    /// for the golden companion machine, which rides the same
-    /// bit-parallel pass and replaces per-cycle window lookups entirely.
+    /// The lane budget a same-cycle chunk is cut to: 63 under every
+    /// [`TracePolicy`]. Lane 63 is reserved for the golden companion
+    /// machine, which rides the same bit-parallel pass as the faulty
+    /// lanes (see [`grade_chunk`](Self::grade_chunk)).
     #[must_use]
     pub fn chunk_lanes(&self) -> usize {
-        match self.policy {
-            TracePolicy::Dense => 64,
-            TracePolicy::Checkpoint(_) => 63,
-        }
+        63
     }
 
     /// Builds a per-worker [`GradeScratch`] with the given collapse mode
-    /// and window-cache capacity (in spans; 0 disables caching).
+    /// and a private bit-span cache of `cache_spans` spans (0 disables
+    /// caching).
     #[must_use]
     pub fn new_scratch(&self, collapse: Collapse, cache_spans: usize) -> GradeScratch {
-        self.new_scratch_with_cache(collapse, WindowCache::new(cache_spans))
+        self.new_scratch_with_cache(collapse, BitCache::new(cache_spans))
     }
 
     /// Builds a per-worker [`GradeScratch`] around an existing cache
     /// handle — the engine hands every worker in a pool a
-    /// [`WindowCache::clone_handle`] of one shared per-run span store,
-    /// so the whole pool replays each golden span once in total.
+    /// [`BitCache::clone_handle`] of one shared per-run span store, so
+    /// the whole pool replays each golden span once in total.
     #[must_use]
-    pub fn new_scratch_with_cache(&self, collapse: Collapse, cache: WindowCache) -> GradeScratch {
-        let bits = BitCache::new(cache.capacity());
+    pub fn new_scratch_with_cache(&self, collapse: Collapse, bits: BitCache) -> GradeScratch {
         GradeScratch {
             st: self.sim.new_state(),
-            cache,
             collapse,
             sim_steps: 0,
             kernel: Kernel::Auto,
@@ -433,41 +384,88 @@ impl Grader {
         }
     }
 
-    /// [`grade_cycle_chunk`](Self::grade_cycle_chunk) against a
-    /// [`GradeScratch`]: the scratch's window cache shares replayed
-    /// golden spans across chunks, its collapse mode decides whether
-    /// decided chunks stop early, and its counters record the work done.
+    /// Grades up to 63 faults sharing one injection cycle in a single
+    /// bit-parallel pass, writing the verdicts into `out` (parallel to
+    /// `chunk`).
     ///
-    /// Under [`Kernel::Auto`] every chunk starts in the differential
-    /// walk and, if its deviation cone floods the netlist while lane 63
-    /// is free, finishes on the companion-lane tape walk (see
-    /// [`GradeScratch::kernel_switches`]).
+    /// This is the shard-sized building block the batching engines are
+    /// made of: a runtime can cut any fault list into same-cycle chunks
+    /// and grade each on whichever thread with whichever scratch, and
+    /// the verdicts stay identical to the serial engine's — they depend
+    /// only on the fault, never on lane placement, chunk composition,
+    /// kernel or collapse mode.
+    ///
+    /// Every chunk takes one walk. Its flips are seeded as deviations
+    /// and it walks differential cycles — only the deviation cone is
+    /// evaluated, against golden [`BitSpan`]s from the scratch's cache —
+    /// until its kernel's switch point. There it leaves deviation space
+    /// and a companion walk finishes it on the tape, with lane 63 as the
+    /// golden machine:
+    ///
+    /// - [`Kernel::Tape`] switches at the injection cycle;
+    /// - [`Kernel::Auto`] switches after the first cycle whose cone
+    ///   drains more than `1 / FLOODED_CONE_DIVISOR` of the netlist's
+    ///   gates (counted by [`GradeScratch::kernel_switches`]);
+    /// - [`Kernel::Differential`] never switches.
+    ///
+    /// Failures are claimed before same-cycle silences, each lane
+    /// records its first event only, and the scratch's `sim_steps`
+    /// counts one per walked cycle on either side of the switch.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as
-    /// [`grade_cycle_chunk`](Self::grade_cycle_chunk).
+    /// Panics if `chunk` is empty, holds more than 63 faults, mixes
+    /// injection cycles, targets an out-of-range cycle, or if `out` has a
+    /// different length than `chunk`.
     pub fn grade_chunk(
         &self,
         scratch: &mut GradeScratch,
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
-        match scratch.kernel {
-            Kernel::Auto => self.grade_chunk_diff(scratch, true, chunk, out),
-            Kernel::Differential => self.grade_chunk_diff(scratch, false, chunk, out),
-            Kernel::Tape => {
-                let GradeScratch { st, cache, collapse, sim_steps, .. } = scratch;
-                self.grade_chunk_inner(st, cache, *collapse, sim_steps, chunk, out);
-            }
+        let GradeScratch { st, collapse, sim_steps, kernel, diff: sc, bits, kernel_switches } =
+            scratch;
+        let (t, mut undecided) = self.validate_chunk(chunk, out);
+        let n_cycles = self.tb.num_cycles();
+        let flood_limit = match kernel {
+            Kernel::Auto => self.sim.num_instrs() / FLOODED_CONE_DIVISOR,
+            Kernel::Tape | Kernel::Differential => usize::MAX,
+        };
+        for (lane, f) in chunk.iter().enumerate() {
+            self.sim.diff_seed(sc, f.ff, lane as u32);
         }
+        let mut span = self.bit_span_for(t, bits);
+        let mut switch = *kernel == Kernel::Tape;
+        for u in t..n_cycles {
+            if u >= span.end() {
+                span = self.bit_span_for(u, bits);
+            }
+            if switch {
+                self.sim.diff_materialize(sc, &span, u, st);
+                *kernel_switches += u64::from(*kernel == Kernel::Auto);
+                self.companion_walk(st, *collapse, sim_steps, out, undecided, u);
+                return;
+            }
+            let (out_diff, state_diff) = self.sim.diff_cycle(sc, &span, u);
+            *sim_steps += 1;
+            undecided = claim(out, undecided, out_diff, FaultOutcome::failure(u as u32));
+            undecided = claim(out, undecided, !state_diff, FaultOutcome::silent(u as u32));
+            if undecided == 0 && *collapse == Collapse::Early {
+                break;
+            }
+            switch = sc.cone_gates() > flood_limit;
+        }
+        self.sim.diff_reset(sc);
     }
 
     /// Validates a same-cycle chunk, resets `out` to latent, and returns
     /// the shared injection cycle plus the used-lane mask.
     fn validate_chunk(&self, chunk: &[Fault], out: &mut [FaultOutcome]) -> (usize, u64) {
         assert!(!chunk.is_empty(), "empty chunk");
-        assert!(chunk.len() <= 64, "a chunk holds at most 64 faults");
+        assert!(
+            chunk.len() <= self.chunk_lanes(),
+            "a chunk holds at most 63 faults: lane 63 is the golden companion"
+        );
         assert_eq!(chunk.len(), out.len(), "outcome slice width");
         let t = chunk[0].cycle as usize;
         assert!(
@@ -478,98 +476,7 @@ impl Grader {
         for o in out.iter_mut() {
             *o = FaultOutcome::latent();
         }
-        let lanes_used: u64 = if chunk.len() == 64 {
-            !0
-        } else {
-            (1u64 << chunk.len()) - 1
-        };
-        (t, lanes_used)
-    }
-
-    /// The full-evaluation chunk walk on the tape.
-    fn grade_chunk_inner(
-        &self,
-        st: &mut SimState,
-        cache: &mut WindowCache,
-        collapse: Collapse,
-        sim_steps: &mut u64,
-        chunk: &[Fault],
-        out: &mut [FaultOutcome],
-    ) {
-        let (t, lanes_used) = self.validate_chunk(chunk, out);
-        let n_cycles = self.tb.num_cycles();
-        if matches!(self.policy, TracePolicy::Checkpoint(_)) && chunk.len() < 64 {
-            // Only the injection-cycle state comes from the golden trace
-            // (one span, served by the cache and shared with the chunk's
-            // cycle-major neighbours); lane 63 carries golden from here.
-            let win = self.window_at_cached(t, cache);
-            self.sim.load_state(st, win.state_at(t));
-            for (lane, f) in chunk.iter().enumerate() {
-                self.sim.flip_ff_lane(st, f.ff, lane as u32);
-            }
-            self.companion_walk(st, collapse, sim_steps, out, lanes_used, t);
-            return;
-        }
-
-        let mut win = self.window_at_cached(t, cache);
-        self.sim.load_state(st, win.state_at(t));
-        for (lane, f) in chunk.iter().enumerate() {
-            self.sim.flip_ff_lane(st, f.ff, lane as u32);
-        }
-        let mut undecided = lanes_used;
-        for u in t..n_cycles {
-            if u >= win.end() {
-                win = self.window_at_cached(u, cache);
-            }
-            self.sim.set_inputs(st, self.tb.cycle(u));
-            self.sim.eval(st);
-            *sim_steps += 1;
-            // Output mismatch mask across all outputs.
-            let mut out_diff = 0u64;
-            let golden_out = win.output_at(u);
-            for (word, &g) in self.sim.outputs_raw(st).into_iter().zip(golden_out) {
-                out_diff |= word ^ broadcast(g);
-            }
-            let newly_failed = out_diff & undecided;
-            if newly_failed != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_failed >> lane & 1 == 1 {
-                        *o = FaultOutcome::failure(u as u32);
-                    }
-                }
-                undecided &= !newly_failed;
-                if undecided == 0 && collapse == Collapse::Early {
-                    return;
-                }
-            }
-            self.sim.step(st);
-            // State convergence mask. Once every undecided lane has shown
-            // a differing flip-flop, no lane can go silent this cycle, so
-            // the rest of the scan is dead work — long latent tails hit
-            // this break within a handful of words instead of walking the
-            // full register file every cycle.
-            let mut state_diff = 0u64;
-            let golden_state = win.state_at(u + 1);
-            for (ff, &g) in golden_state.iter().enumerate() {
-                let word = self.sim.ff_raw(st, seugrade_netlist::FfIndex::new(ff));
-                state_diff |= word ^ broadcast(g);
-                if state_diff & undecided == undecided {
-                    break;
-                }
-            }
-            let newly_silent = !state_diff & undecided;
-            if newly_silent != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_silent >> lane & 1 == 1 {
-                        *o = FaultOutcome::silent(u as u32);
-                    }
-                }
-                undecided &= !newly_silent;
-                if undecided == 0 && collapse == Collapse::Early {
-                    return;
-                }
-            }
-        }
+        (t, (1u64 << chunk.len()) - 1)
     }
 
     /// The golden-companion walk over cycles `from..`: lane 63 of `st`
@@ -577,18 +484,14 @@ impl Grader {
     /// carries a fault, so it *is* the golden machine, advanced for free
     /// by the same bit-parallel pass. Per-cycle comparison then reduces
     /// to XOR-ing each signal word against its own lane 63 broadcast (an
-    /// arithmetic shift) — no window replay, no window memory, however
-    /// far a latent tail walks.
+    /// arithmetic shift) — no stored golden values, however far a latent
+    /// tail walks.
     ///
-    /// Two paths hand over to it: checkpointed chunks of at most 63
-    /// faults start here right after injection, and flooded
-    /// [`Kernel::Auto`] chunks resume here from deviation space. Only
-    /// the `undecided` lanes are still graded.
-    ///
-    /// Verdicts are bit-identical to the windowed path: the compiled
-    /// simulator is deterministic per lane, so lane 63 carries exactly
-    /// the bits a replayed window would, and `undecided` never holds
-    /// lane 63.
+    /// Every chunk that reaches its kernel's switch point resumes here
+    /// from deviation space; only the `undecided` lanes are still
+    /// graded. Verdicts are bit-identical to the serial reference: the
+    /// compiled simulator is deterministic per lane, so lane 63 carries
+    /// exactly the golden bits, and `undecided` never holds lane 63.
     fn companion_walk(
         &self,
         st: &mut SimState,
@@ -611,21 +514,14 @@ impl Grader {
             for word in self.sim.outputs_raw(st) {
                 out_diff |= word ^ golden(word);
             }
-            let newly_failed = out_diff & undecided;
-            if newly_failed != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_failed >> lane & 1 == 1 {
-                        *o = FaultOutcome::failure(u as u32);
-                    }
-                }
-                undecided &= !newly_failed;
-                if undecided == 0 && collapse == Collapse::Early {
-                    return;
-                }
+            undecided = claim(out, undecided, out_diff, FaultOutcome::failure(u as u32));
+            if undecided == 0 && collapse == Collapse::Early {
+                return;
             }
             self.sim.step(st);
-            // Same short-circuit as the windowed path: stop scanning the
-            // register file once every undecided lane has diverged.
+            // Stop scanning the register file once every undecided lane
+            // has diverged: no lane can go silent this cycle, so long
+            // latent tails break within a handful of words.
             let mut state_diff = 0u64;
             for ff in 0..num_ffs {
                 let word = self.sim.ff_raw(st, seugrade_netlist::FfIndex::new(ff));
@@ -634,17 +530,9 @@ impl Grader {
                     break;
                 }
             }
-            let newly_silent = !state_diff & undecided;
-            if newly_silent != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_silent >> lane & 1 == 1 {
-                        *o = FaultOutcome::silent(u as u32);
-                    }
-                }
-                undecided &= !newly_silent;
-                if undecided == 0 && collapse == Collapse::Early {
-                    return;
-                }
+            undecided = claim(out, undecided, !state_diff, FaultOutcome::silent(u as u32));
+            if undecided == 0 && collapse == Collapse::Early {
+                return;
             }
         }
     }
@@ -660,90 +548,6 @@ impl Grader {
         self.golden.bit_span_cached(&self.sim, &self.tb, start, end, bits)
     }
 
-    /// The differential (activity-driven) chunk walk: the faulty lanes
-    /// are simulated **in deviation space** against bit-packed golden
-    /// values, so per cycle only the gates reachable from the dirty
-    /// frontier are evaluated — work proportional to the deviation cone,
-    /// not the netlist. `out_diff` from the dev-space step *is* the
-    /// failure mask, and a zero `state_diff` proves every lane
-    /// reconverged without scanning a single register (the frontier is
-    /// simply empty from then on).
-    ///
-    /// Verdict semantics are identical to the full-evaluation paths:
-    /// failures are claimed before same-cycle silences, each lane
-    /// records its first event only, and `sim_steps` counts one per
-    /// walked cycle.
-    ///
-    /// With `hybrid` set (the [`Kernel::Auto`] walk) a chunk whose
-    /// lane 63 is free leaves deviation space for good once a cycle's
-    /// cone floods the netlist (see [`FLOODED_CONE_DIVISOR`]): cycle
-    /// `u`'s verdicts are claimed first, then the faulty flip-flops are
-    /// rebuilt as `golden ⊕ dev` at cycle `u + 1` and the
-    /// [`companion_walk`](Self::companion_walk) finishes the chunk.
-    fn grade_chunk_diff(
-        &self,
-        scratch: &mut GradeScratch,
-        hybrid: bool,
-        chunk: &[Fault],
-        out: &mut [FaultOutcome],
-    ) {
-        let GradeScratch { st, collapse, sim_steps, diff: sc, bits, kernel_switches, .. } =
-            scratch;
-        let collapse = *collapse;
-        let (t, lanes_used) = self.validate_chunk(chunk, out);
-        let n_cycles = self.tb.num_cycles();
-        // A 64-lane chunk has no free lane for the golden companion, so
-        // it stays in deviation space.
-        let flood_limit = if hybrid && chunk.len() < 64 {
-            self.sim.num_instrs() / FLOODED_CONE_DIVISOR
-        } else {
-            usize::MAX
-        };
-        for (lane, f) in chunk.iter().enumerate() {
-            self.sim.diff_seed(sc, f.ff, lane as u32);
-        }
-        let mut span = self.bit_span_for(t, bits);
-        let mut undecided = lanes_used;
-        for u in t..n_cycles {
-            if u >= span.end() {
-                span = self.bit_span_for(u, bits);
-            }
-            let (out_diff, state_diff) = self.sim.diff_cycle(sc, &span, u);
-            *sim_steps += 1;
-            let newly_failed = out_diff & undecided;
-            if newly_failed != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_failed >> lane & 1 == 1 {
-                        *o = FaultOutcome::failure(u as u32);
-                    }
-                }
-                undecided &= !newly_failed;
-            }
-            let newly_silent = !state_diff & undecided;
-            if newly_silent != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_silent >> lane & 1 == 1 {
-                        *o = FaultOutcome::silent(u as u32);
-                    }
-                }
-                undecided &= !newly_silent;
-            }
-            if undecided == 0 && collapse == Collapse::Early {
-                break;
-            }
-            if sc.cone_gates() > flood_limit && u + 1 < n_cycles {
-                if u + 1 >= span.end() {
-                    span = self.bit_span_for(u + 1, bits);
-                }
-                self.sim.diff_materialize(sc, &span, u + 1, st);
-                *kernel_switches += 1;
-                self.companion_walk(st, collapse, sim_steps, out, undecided, u + 1);
-                return;
-            }
-        }
-        self.sim.diff_reset(sc);
-    }
-
     /// Per-flip-flop failure counts (a weak-area map, the re-design aid
     /// the paper's introduction motivates).
     #[must_use]
@@ -756,6 +560,20 @@ impl Grader {
         }
         map
     }
+}
+
+/// Records `verdict` for every `undecided` lane set in `hit` and
+/// returns the lanes still undecided.
+fn claim(out: &mut [FaultOutcome], undecided: u64, hit: u64, verdict: FaultOutcome) -> u64 {
+    let newly = hit & undecided;
+    if newly != 0 {
+        for (lane, o) in out.iter_mut().enumerate() {
+            if newly >> lane & 1 == 1 {
+                *o = verdict;
+            }
+        }
+    }
+    undecided & !newly
 }
 
 #[cfg(test)]
@@ -927,17 +745,17 @@ mod tests {
     }
 
     #[test]
-    fn grade_cycle_chunk_matches_serial() {
+    fn grade_chunk_matches_serial() {
         let n = seugrade_circuits::registry::build("b03s").unwrap();
         let tb = Testbench::random(n.num_inputs(), 20, 7);
         let g = Grader::new(&n, &tb);
-        let mut st = g.sim().new_state();
+        let mut scratch = g.new_scratch(Collapse::Early, 0);
         for t in 0..20u32 {
             let chunk: Vec<Fault> = (0..n.num_ffs())
                 .map(|ff| Fault::new(FfIndex::new(ff), t))
                 .collect();
             let mut out = vec![FaultOutcome::latent(); chunk.len()];
-            g.grade_cycle_chunk(&mut st, &chunk, &mut out);
+            g.grade_chunk(&mut scratch, &chunk, &mut out);
             for (f, o) in chunk.iter().zip(&out) {
                 assert_eq!(*o, g.classify_serial(*f), "{f}");
             }
@@ -950,10 +768,10 @@ mod tests {
         let n = generators::counter(2);
         let tb = Testbench::constant_low(0, 4);
         let g = Grader::new(&n, &tb);
-        let mut st = g.sim().new_state();
+        let mut scratch = g.new_scratch(Collapse::Early, 0);
         let chunk = [Fault::new(FfIndex::new(0), 0), Fault::new(FfIndex::new(1), 1)];
         let mut out = [FaultOutcome::latent(); 2];
-        g.grade_cycle_chunk(&mut st, &chunk, &mut out);
+        g.grade_chunk(&mut scratch, &chunk, &mut out);
     }
 
     #[test]
@@ -1036,7 +854,7 @@ mod tests {
                 );
             }
             let mut scratch = g.new_scratch(Collapse::Horizon, 4);
-            let mut out = [FaultOutcome::latent(); 64];
+            let mut out = [FaultOutcome::latent(); 63];
             // Exhaustive lists are cycle-major: each group shares a cycle.
             for (group_start, group) in faults.as_slice().chunks(n.num_ffs()).enumerate() {
                 for (k0, chunk) in group.chunks(g.chunk_lanes()).enumerate() {
@@ -1088,27 +906,26 @@ mod tests {
     fn companion_chunk_replays_only_the_seed_span() {
         use seugrade_sim::TracePolicy;
         // A latent-heavy circuit: the fault walks to the horizon, but the
-        // companion-lane path must still fetch exactly one golden span.
+        // companion-lane walk must still fetch exactly one golden span.
         let n = generators::lfsr(12, &[11, 9, 7, 4]);
         let tb = Testbench::random(0, 64, 9);
         let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(8));
-        // Pinned to the tape kernel: the companion-lane path is what
-        // fetches value windows (the differential kernel replays golden
-        // *bit spans* through its own cache instead).
+        // Pinned to the tape kernel, which leaves deviation space at the
+        // injection cycle: the seed span is its only golden fetch.
         let mut scratch = g.new_scratch(Collapse::Early, 4).with_kernel(Kernel::Tape);
         let mut out = [FaultOutcome::latent(); 2];
         let chunk = [Fault::new(FfIndex::new(0), 10), Fault::new(FfIndex::new(3), 10)];
         g.grade_chunk(&mut scratch, &chunk, &mut out);
         assert_eq!(
-            scratch.cache().misses(),
+            scratch.bit_cache().misses(),
             1,
             "one span replay to seed the chunk, none for the walk"
         );
         // A same-span neighbour chunk is served from the cache.
         let chunk2 = [Fault::new(FfIndex::new(5), 11)];
         g.grade_chunk(&mut scratch, &chunk2, &mut out[..1]);
-        assert_eq!(scratch.cache().misses(), 1);
-        assert_eq!(scratch.cache().hits(), 1);
+        assert_eq!(scratch.bit_cache().misses(), 1);
+        assert_eq!(scratch.bit_cache().hits(), 1);
     }
 
     #[test]
@@ -1127,7 +944,7 @@ mod tests {
                             g.new_scratch(collapse, 4).with_kernel(kernel);
                         assert_eq!(scratch.kernel(), kernel);
                         let mut got = vec![FaultOutcome::latent(); faults.len()];
-                        let mut out = [FaultOutcome::latent(); 64];
+                        let mut out = [FaultOutcome::latent(); 63];
                         for (gi, group) in
                             faults.as_slice().chunks(n.num_ffs()).enumerate()
                         {
@@ -1161,13 +978,12 @@ mod tests {
         // Pinned to the differential kernel: under `Auto` this flooding
         // LFSR chunk would hand over to the companion-lane tape walk.
         // Early collapse decides the chunk inside its first span: one
-        // bit-span replay, no value windows.
+        // bit-span replay.
         let mut scratch = g.new_scratch(Collapse::Early, 16).with_kernel(Kernel::Differential);
         let mut out = [FaultOutcome::latent(); 2];
         let chunk = [Fault::new(FfIndex::new(0), 10), Fault::new(FfIndex::new(3), 10)];
         g.grade_chunk(&mut scratch, &chunk, &mut out);
         assert_eq!(scratch.bit_cache().misses(), 1);
-        assert_eq!(scratch.cache().misses(), 0, "no value windows fetched");
         // A horizon walk from cycle 10 crosses spans 8..16 through
         // 56..64: 7 distinct spans replayed into a fresh cache.
         let mut horizon = g.new_scratch(Collapse::Horizon, 16).with_kernel(Kernel::Differential);
@@ -1272,17 +1088,26 @@ mod tests {
     }
 
     #[test]
-    fn full_dense_chunk_stays_in_deviation_space() {
+    fn flooded_dense_chunk_switches() {
         let n = flood_chain(80);
         let tb = Testbench::random(1, 24, 5);
         let g = Grader::new(&n, &tb);
-        assert_eq!(g.chunk_lanes(), 64);
-        // 64 lanes leave no lane for the golden companion.
-        let (switches, _) = auto_against_fixed_kernels(&g, &same_cycle_chunk(0..64, 2));
-        assert_eq!(switches, (0, 0));
-        // One lane fewer frees lane 63, and the flooded chunk switches.
+        // Lane 63 is the golden companion under every policy, so a full
+        // Dense chunk leaves deviation space once its cone floods.
+        assert_eq!(g.chunk_lanes(), 63);
         let (switches, _) = auto_against_fixed_kernels(&g, &same_cycle_chunk(0..63, 2));
         assert_eq!(switches, (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 63 faults")]
+    fn sixty_four_fault_chunk_is_rejected() {
+        let n = flood_chain(80);
+        let tb = Testbench::random(1, 24, 5);
+        let g = Grader::new(&n, &tb);
+        let mut scratch = g.new_scratch(Collapse::Early, 4);
+        let mut out = [FaultOutcome::latent(); 64];
+        g.grade_chunk(&mut scratch, &same_cycle_chunk(0..64, 2), &mut out);
     }
 
     #[test]
@@ -1293,7 +1118,7 @@ mod tests {
         let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(64));
         let mut auto = g.new_scratch(Collapse::Early, 4);
         let mut tape = g.new_scratch(Collapse::Early, 4).with_kernel(Kernel::Tape);
-        let (mut a, mut b) = ([FaultOutcome::latent(); 64], [FaultOutcome::latent(); 64]);
+        let (mut a, mut b) = ([FaultOutcome::latent(); 63], [FaultOutcome::latent(); 63]);
         let mut chunks = 0;
         for t in [0, 63, 100] {
             let faults = same_cycle_chunk(0..n.num_ffs(), t);

@@ -28,16 +28,16 @@
 //! # Engines
 //!
 //! [`Grader`] bundles the compiled simulator and the golden trace and
-//! offers three interchangeable execution strategies:
-//! serial (one fault at a time — the readable reference), bit-parallel
-//! (64 faulty machines per simulation pass) and multi-threaded
-//! bit-parallel. [`Grader::grade_cycle_chunk`] exposes the shard-sized
-//! building block (one same-cycle 64-lane pass with caller-owned
-//! scratch state) that the `seugrade-engine` campaign runtime schedules
-//! across worker threads, and [`sampling::pool_summaries`] is that
-//! runtime's order-independent merge step; [`FaultList::split_into`]
-//! and [`FaultList::chunks`] give callers borrowed shard views so
-//! sharding never has to clone fault vectors.
+//! offers two interchangeable execution strategies: serial (one fault
+//! at a time — the readable reference) and bit-parallel (63 faulty
+//! machines plus the golden companion in lane 63 per simulation pass).
+//! [`Grader::grade_chunk`] exposes the shard-sized building block (one
+//! same-cycle chunk of up to 63 faults, graded through a per-worker
+//! [`GradeScratch`]) that the `seugrade-engine` campaign runtime
+//! schedules across worker threads, and [`sampling::pool_summaries`]
+//! is that runtime's order-independent merge step;
+//! [`FaultList::split_into`] and [`FaultList::chunks`] give callers
+//! borrowed shard views so sharding never has to clone fault vectors.
 //!
 //! # Example
 //!

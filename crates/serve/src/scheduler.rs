@@ -65,9 +65,11 @@ impl Scheduler {
             spool,
             stopping: AtomicBool::new(false),
         });
-        let mut max_num = 0;
-        for spooled in core.spool.scan()? {
-            max_num = max_num.max(spooled.num);
+        // Every numbered directory counts toward the next id, loaded or
+        // not: reusing a broken job's number would resume a new job from
+        // its checkpoint and mark it terminal with its result.
+        let (spooled_jobs, max_num) = core.spool.scan()?;
+        for spooled in spooled_jobs {
             let job = match Job::build(spooled.id.clone(), spooled.spec) {
                 Ok(job) => Arc::new(job),
                 Err(e) => {

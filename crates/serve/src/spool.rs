@@ -33,7 +33,7 @@ pub struct Spool {
 pub struct SpooledJob {
     /// Job id (`j<N>`, the directory name).
     pub id: String,
-    /// Numeric part of the id (ids continue from the maximum + 1).
+    /// Numeric part of the id.
     pub num: u64,
     /// The spec parsed back out of `job.json`.
     pub spec: JobSpec,
@@ -112,15 +112,19 @@ impl Spool {
     }
 
     /// Scans the spool for jobs left by previous daemon lives, sorted
-    /// by job number. Unreadable or malformed entries are skipped with
+    /// by job number, plus the highest `j<N>` number on disk (0 for an
+    /// empty spool). Unreadable or malformed entries are skipped with
     /// a note on stderr rather than failing the whole restart — one
-    /// corrupted spec must not strand every other spooled job.
+    /// corrupted spec must not strand every other spooled job — but
+    /// still count toward the highest number, so new ids continue past
+    /// them and never write into a directory holding another job's
+    /// checkpoint or result.
     ///
     /// # Errors
     ///
     /// Propagates a failure to read the root directory itself.
-    pub fn scan(&self) -> io::Result<Vec<SpooledJob>> {
-        let mut jobs = Vec::new();
+    pub fn scan(&self) -> io::Result<(Vec<SpooledJob>, u64)> {
+        let (mut jobs, mut max_num) = (Vec::new(), 0);
         for entry in fs::read_dir(&self.root)? {
             let entry = entry?;
             if !entry.file_type()?.is_dir() {
@@ -130,13 +134,14 @@ impl Spool {
             let Some(num) = id.strip_prefix('j').and_then(|n| n.parse::<u64>().ok()) else {
                 continue;
             };
+            max_num = max_num.max(num);
             match self.load_one(&id, num) {
                 Ok(job) => jobs.push(job),
                 Err(e) => eprintln!("spool: skipping {id}: {e}"),
             }
         }
         jobs.sort_by_key(|j| j.num);
-        Ok(jobs)
+        Ok((jobs, max_num))
     }
 
     fn load_one(&self, id: &str, num: u64) -> Result<SpooledJob, String> {
@@ -182,7 +187,8 @@ mod tests {
         let mut spec = JobSpec::registry("s27");
         spec.sample = Some(64);
         spool.write_spec("j3", &spec).unwrap();
-        let scanned = spool.scan().unwrap();
+        let (scanned, max_num) = spool.scan().unwrap();
+        assert_eq!(max_num, 3);
         assert_eq!(scanned.len(), 1);
         assert_eq!(scanned[0].id, "j3");
         assert_eq!(scanned[0].num, 3);
@@ -200,10 +206,13 @@ mod tests {
             spool.write_spec(id, &JobSpec::registry("s27")).unwrap();
         }
         fs::create_dir_all(root.join("not-a-job")).unwrap();
-        // A torn directory (no job.json) is skipped, not fatal.
+        // A torn directory (no job.json) is skipped, not fatal, but its
+        // number is still taken.
         fs::create_dir_all(root.join("j99")).unwrap();
-        let ids: Vec<String> = spool.scan().unwrap().into_iter().map(|j| j.id).collect();
+        let (jobs, max_num) = spool.scan().unwrap();
+        let ids: Vec<String> = jobs.into_iter().map(|j| j.id).collect();
         assert_eq!(ids, ["j2", "j10"]);
+        assert_eq!(max_num, 99);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -214,7 +223,7 @@ mod tests {
         spool.write_spec("j1", &JobSpec::registry("s27")).unwrap();
         let result = Value::obj(vec![("state", Value::str("done"))]);
         spool.write_result("j1", &result).unwrap();
-        let scanned = spool.scan().unwrap();
+        let (scanned, _) = spool.scan().unwrap();
         assert_eq!(
             scanned[0].result.as_ref().and_then(|r| r.get("state")).and_then(Value::as_str),
             Some("done")

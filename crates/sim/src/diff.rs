@@ -31,8 +31,8 @@
 //! The golden bits come from a [`BitSpan`]: one bit per cell per cycle
 //! (golden values are lane-uniform), replayed once per checkpoint span
 //! and shared across all chunks of a campaign through a [`BitCache`] —
-//! the same once-per-span economics as the window cache, at 1/64th the
-//! word cost of a value trace.
+//! the one golden source of every grading walk, at 1/64th the word cost
+//! of a value trace.
 
 use std::sync::Arc;
 
@@ -276,8 +276,9 @@ impl CompiledSim {
     /// the golden state at (absolute) cycle `t` XOR its deviation word,
     /// then clears the deviations.
     ///
-    /// Call between cycles, after [`diff_cycle`](Self::diff_cycle) for
-    /// cycle `t - 1`, when only flip-flop slots carry deviations. A lane
+    /// Call between cycles — after [`diff_cycle`](Self::diff_cycle) for
+    /// cycle `t - 1`, or right after [`diff_seed`](Self::diff_seed) at
+    /// injection cycle `t` — when only flip-flop slots carry deviations. A lane
     /// that was never seeded carries no deviation, so it comes out as
     /// the golden machine itself — the companion lane a full-evaluation
     /// walk compares against.

@@ -86,24 +86,27 @@ pub use trace::{GoldenTrace, TracePolicy, TraceWindow, WindowCache};
 /// All kernels produce **bit-identical verdicts** — the equivalence
 /// suites pin verdict digests across every kernel, policy and thread
 /// count — so the choice is purely a speed knob (and is therefore
-/// excluded from campaign resume fingerprints):
+/// excluded from campaign resume fingerprints).
 ///
-/// - [`Tape`](Kernel::Tape) — full evaluation through the specialized
-///   SoA opcode runs (branch-free inner loops, `Not`/`Buf` folded into
-///   consumer pins).
-/// - [`Differential`](Kernel::Differential) — deviation-cone evaluation:
-///   only gates reachable from the dirty frontier run, and an empty
-///   frontier proves reconvergence without a register scan.
-/// - [`Auto`](Kernel::Auto) — a per-chunk hybrid of the two. Every chunk
-///   starts in the differential walk; once one cycle's cone evaluates
-///   more than 1/4 of the netlist's gates, the chunk leaves deviation
-///   space for good and finishes on the full-evaluation tape, with
-///   lane 63 as the golden companion. A chunk that fills all 64 lanes
-///   has no lane for the companion and stays differential. The
-///   threshold is one-way and measured: at 1/8 sampled `s5378g`
-///   campaigns lost ~30% of their throughput (latent tails switched
-///   early and paid full-netlist cost to the horizon); at 1/2 the
-///   exhaustive `viper` campaign lost ~5% against 1/4.
+/// A kernel is a switch point in one chunk walk. Every chunk seeds its
+/// flips as deviations and walks differential cycles until its kernel's
+/// switch point, then leaves deviation space for good and finishes on
+/// the full-evaluation tape, with lane 63 (never a fault lane) as the
+/// golden companion:
+///
+/// - [`Tape`](Kernel::Tape) — switches at the injection cycle: full
+///   evaluation through the specialized SoA opcode runs (branch-free
+///   inner loops, `Not`/`Buf` folded into consumer pins).
+/// - [`Differential`](Kernel::Differential) — never switches:
+///   deviation-cone evaluation, where only gates reachable from the
+///   dirty frontier run and an empty frontier proves reconvergence
+///   without a register scan.
+/// - [`Auto`](Kernel::Auto) — switches after the first cycle whose cone
+///   evaluates more than 1/4 of the netlist's gates. The threshold is
+///   one-way and measured: at 1/8 sampled `s5378g` campaigns lost ~30%
+///   of their throughput (latent tails switched early and paid
+///   full-netlist cost to the horizon); at 1/2 the exhaustive `viper`
+///   campaign lost ~5% against 1/4.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Differential, handing flooded chunks over to the tape walk.

@@ -93,12 +93,6 @@ impl<T> SpanCache<T> {
         Self::new(0)
     }
 
-    /// Maximum number of spans held.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Span requests this handle served from the cache.
     #[must_use]
     pub fn hits(&self) -> u64 {

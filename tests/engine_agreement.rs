@@ -366,8 +366,8 @@ proptest! {
     }
 }
 
-/// Cycle-major chunk order keeps the per-worker window cache hot: the
-/// K-aligned seed span changes only every `K` injection cycles, so a
+/// Cycle-major chunk order keeps the per-worker golden span cache hot:
+/// the K-aligned seed span changes only every `K` injection cycles, so a
 /// full exhaustive walk misses exactly once per distinct span and hits
 /// everywhere else.
 #[test]
@@ -378,9 +378,8 @@ fn cycle_major_walk_mostly_hits_the_window_cache() {
     let tb = Testbench::random(circuit.num_inputs(), cycles, 77);
     let grader = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(k));
     let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
-    // Pin the tape kernel: this test audits the *window*-cache contract
-    // of the span-seeded path; the differential kernel seeds from the
-    // bit-packed golden cache instead and never touches this counter.
+    // Pin the tape kernel: it leaves deviation space at the injection
+    // cycle, so each chunk reads exactly one golden span — its seed.
     let mut scratch = grader
         .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
         .with_kernel(Kernel::Tape);
@@ -391,12 +390,13 @@ fn cycle_major_walk_mostly_hits_the_window_cache() {
         }
     }
     // b03s fits one chunk per cycle: 48 seed lookups over 3 spans.
-    assert_eq!(scratch.cache().misses(), (cycles / k) as u64);
-    assert_eq!(scratch.cache().hits(), (cycles - cycles / k) as u64);
-    assert!(scratch.cache().hits() > scratch.cache().misses());
+    let cache = scratch.bit_cache();
+    assert_eq!(cache.misses(), (cycles / k) as u64);
+    assert_eq!(cache.hits(), (cycles - cycles / k) as u64);
+    assert!(cache.hits() > cache.misses());
     // Each span is replayed once, so total replay work equals one golden
     // pass over the bench — not one per chunk.
-    assert_eq!(scratch.cache().replayed_cycles(), cycles as u64);
+    assert_eq!(cache.replayed_cycles(), cycles as u64);
 }
 
 /// The sampled streaming path reconstructs each golden span exactly
@@ -417,8 +417,8 @@ fn sampled_checkpoint_grading_reconstructs_each_span_once() {
     for f in sample.iter() {
         by_cycle[f.cycle as usize].push(f);
     }
-    // Tape kernel for the same reason as above: the window-cache
-    // counters are the property under test.
+    // Tape kernel for the same reason as above: one seed span per chunk
+    // is the property under test.
     let mut scratch = grader
         .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
         .with_kernel(Kernel::Tape);
@@ -434,9 +434,10 @@ fn sampled_checkpoint_grading_reconstructs_each_span_once() {
     }
     // One reconstruction per distinct K-aligned span — every other seed
     // lookup is a cache hit.
-    assert_eq!(scratch.cache().misses(), spans.len() as u64);
-    assert_eq!(scratch.cache().hits(), lookups - spans.len() as u64);
-    assert_eq!(scratch.cache().replayed_cycles(), (spans.len() * k) as u64);
+    let cache = scratch.bit_cache();
+    assert_eq!(cache.misses(), spans.len() as u64);
+    assert_eq!(cache.hits(), lookups - spans.len() as u64);
+    assert_eq!(cache.replayed_cycles(), (spans.len() * k) as u64);
 }
 
 /// Lane independence: grading the same fault in different lanes of the

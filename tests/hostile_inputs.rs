@@ -485,3 +485,84 @@ fn missing_checkpoint_file_is_an_io_error_not_a_panic() {
     assert!(matches!(err, ResumeError::Io { .. }), "{err}");
     assert!(err.line().is_none());
 }
+
+/// Restart leg of the spool contract: a zero-length `job.json`, a
+/// truncated `job.json` and a truncated `job.ckpt` left by a previous
+/// daemon life never panic the restart, never get their job number
+/// reused, and a broken checkpoint fails its job with a line-numbered
+/// error instead of resuming anything.
+#[test]
+fn broken_spool_files_fail_their_job_and_never_reuse_its_id() {
+    use seugrade_serve::json::Value;
+    use seugrade_serve::{Client, JobSpec, Server, ServerConfig};
+    use std::time::Duration;
+
+    let spool = std::env::temp_dir()
+        .join(format!("seugrade-hostile-spool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool);
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        spool: spool.clone(),
+    };
+    let mut spec = JobSpec::registry("s27");
+    spec.vectors = 24;
+    spec.round = 4;
+    let state = |v: &Value| v.get("state").and_then(Value::as_str).map(str::to_owned);
+
+    // First life: three finished jobs.
+    let server = Server::bind(&config).expect("bind daemon");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let ids: Vec<String> = (0..3).map(|_| client.submit(&spec).expect("submit")).collect();
+    assert_eq!(ids, ["j1", "j2", "j3"]);
+    for id in &ids {
+        let snapshot = client.wait(id, Duration::from_secs(60)).expect("job finishes");
+        assert_eq!(state(&snapshot).as_deref(), Some("done"), "{id}");
+    }
+    drop(client);
+    drop(server);
+
+    // Break them: j1 loses its result and keeps half a checkpoint, j2
+    // keeps half a spec, and j3 — the highest number — an empty one.
+    let file = |id: &str, name: &str| spool.join(id).join(name);
+    let truncate = |path: &std::path::Path| {
+        let bytes = std::fs::read(path).expect("spooled file");
+        std::fs::write(path, &bytes[..bytes.len() / 2]).expect("truncate");
+    };
+    std::fs::remove_file(file("j1", "result.json")).expect("j1 result");
+    truncate(&file("j1", "job.ckpt"));
+    truncate(&file("j2", "job.json"));
+    std::fs::write(file("j3", "job.json"), b"").expect("empty j3 spec");
+    let snapshot_dir = |id: &str| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(spool.join(id))
+            .expect("job dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let broken = [snapshot_dir("j2"), snapshot_dir("j3")];
+
+    // Second life on the same spool.
+    let server = Server::bind(&config).expect("restart daemon");
+    let mut client = Client::connect(server.local_addr()).expect("reconnect");
+    let failed = client.wait("j1", Duration::from_secs(60)).expect("j1 terminal");
+    assert_eq!(state(&failed).as_deref(), Some("failed"), "{failed:?}");
+    let error = failed.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(error.contains("corrupt checkpoint at line"), "{error}");
+    let id = client.submit(&spec).expect("submit after restart");
+    assert_eq!(id, "j4", "the next id skips every numbered directory");
+    let done = client.wait(&id, Duration::from_secs(60)).expect("j4 finishes");
+    assert_eq!(state(&done).as_deref(), Some("done"), "{done:?}");
+    assert_eq!(
+        [snapshot_dir("j2"), snapshot_dir("j3")],
+        broken,
+        "unloadable job directories are left untouched"
+    );
+    drop(client);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&spool);
+}
