@@ -15,7 +15,10 @@ fn grade_with(circuit: &Netlist, tb: &Testbench, faults: &FaultList, kernel: Ker
         .kernel(kernel)
         .policy(ShardPolicy { threads: 1, serial_below: 0 })
         .build();
-    Engine::new(&plan).run_streamed(&plan).digest()
+    let (acc, _) = Engine::new(&plan)
+        .try_run_streamed_with::<StreamAccumulator>(&plan)
+        .expect("streamed run");
+    acc.digest()
 }
 
 fn bench_kernels_medium(c: &mut Criterion) {

@@ -596,18 +596,18 @@ fn run_grade_scaling(opts: &Options, threads: usize) {
             .kernel(opts.kernel)
             .build();
         let engine = Engine::new(&plan);
-        let run = engine.run_streamed(&plan);
-        digests.push(run.digest());
+        let (acc, stats) = streamed(&engine, &plan);
+        digests.push(acc.digest());
         let stored = engine.grader().golden().stored_bits();
         let dense_bits = engine.grader().golden().dense_equivalent_bits();
-        let rate = engine_bench::rate(run.stats().faults, run.stats().wall_ns);
+        let rate = engine_bench::rate(stats.faults, stats.wall_ns);
         println!(
             "{:<16} collapse {:<3} threads {:>2}: {:>12.0} faults/sec ({} faults), golden {} bits (dense {} bits, x{:.1})",
             policy.label(),
             collapse.label(),
-            run.stats().threads,
+            stats.threads,
             rate,
-            run.stats().faults,
+            stats.faults,
             stored,
             dense_bits,
             engine_bench::ratio(dense_bits as f64, stored as f64),
@@ -615,12 +615,12 @@ fn run_grade_scaling(opts: &Options, threads: usize) {
         grade_report.push(GradeRecord {
             circuit: circuit.name().to_owned(),
             policy: policy.label(),
-            threads: run.stats().threads,
+            threads: stats.threads,
             ffs: circuit.num_ffs(),
             cycles,
-            faults: run.stats().faults,
+            faults: stats.faults,
             source: format!("sampled:{sample}"),
-            wall_ns: run.stats().wall_ns,
+            wall_ns: stats.wall_ns,
             faults_per_sec: rate,
             golden_stored_bits: stored,
             golden_dense_bits: dense_bits,
@@ -706,25 +706,25 @@ fn run_grade_scaling(opts: &Options, threads: usize) {
         .kernel(opts.kernel)
         .build();
     let engine = Engine::new(&plan);
-    let run = engine.run_streamed(&plan);
-    let rate = engine_bench::rate(run.stats().faults, run.stats().wall_ns);
+    let (_, stats) = streamed(&engine, &plan);
+    let rate = engine_bench::rate(stats.faults, stats.wall_ns);
     println!(
         "{:<16} collapse {:<3} threads {:>2}: {:>12.0} faults/sec ({} faults) on s38417g",
         TracePolicy::Checkpoint(64).label(),
         opts.collapse.label(),
-        run.stats().threads,
+        stats.threads,
         rate,
-        run.stats().faults,
+        stats.faults,
     );
     grade_report.push(GradeRecord {
         circuit: scale.name().to_owned(),
         policy: TracePolicy::Checkpoint(64).label(),
-        threads: run.stats().threads,
+        threads: stats.threads,
         ffs: scale.num_ffs(),
         cycles: scale_cycles,
-        faults: run.stats().faults,
+        faults: stats.faults,
         source: format!("sampled:{scale_sample}"),
-        wall_ns: run.stats().wall_ns,
+        wall_ns: stats.wall_ns,
         faults_per_sec: rate,
         golden_stored_bits: engine.grader().golden().stored_bits(),
         golden_dense_bits: engine.grader().golden().dense_equivalent_bits(),
@@ -781,10 +781,10 @@ fn kernel_sweep(
     let mut best: Vec<Option<EngineStats>> = vec![None; kernels.len()];
     for _ in 0..reps {
         for ((plan, engine), best) in plans.iter().zip(&engines).zip(&mut best) {
-            let run = engine.run_streamed(plan);
-            digests.push(run.digest());
-            if best.map_or(true, |b| run.stats().wall_ns < b.wall_ns) {
-                *best = Some(*run.stats());
+            let (acc, stats) = streamed(engine, plan);
+            digests.push(acc.digest());
+            if best.map_or(true, |b| stats.wall_ns < b.wall_ns) {
+                *best = Some(stats);
             }
         }
     }
@@ -869,25 +869,40 @@ fn run_grade(target: &str, opts: &Options) {
         ropts.cancel = Some(signal_cancel_token());
         ropts.meta = grade_meta(target, opts);
         ropts.progress = progress_hook(opts);
-        let run = engine.run_streamed_resumable(&plan, &ropts).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
+        let run = resumable(&engine, &plan, &ropts);
         finish_resumable(&circuit, target, &engine, path, &run);
     } else if opts.progress_json {
         // Same one-shot semantics as the streamed path, but through the
         // resumable runner (no checkpoint) so the per-chunk hook fires.
-        let mut ropts = ResumeOptions::default();
-        ropts.progress = progress_hook(opts);
-        let run = engine.run_streamed_resumable(&plan, &ropts).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
+        let ropts = ResumeOptions { progress: progress_hook(opts), ..ResumeOptions::default() };
+        let run = resumable(&engine, &plan, &ropts);
         print_streamed_report(&circuit, target, &engine, run.sink.summary(), &run.stats, run.sink.digest());
     } else {
-        let run = engine.run_streamed(&plan);
-        print_streamed_report(&circuit, target, &engine, run.summary(), run.stats(), run.digest());
+        let (acc, stats) = streamed(&engine, &plan);
+        print_streamed_report(&circuit, target, &engine, acc.summary(), &stats, acc.digest());
     }
+}
+
+/// One streamed round into the standard accumulator.
+///
+/// # Panics
+///
+/// Panics if a worker panic survives the engine's retry budget.
+fn streamed(engine: &Engine, plan: &CampaignPlan<'_>) -> (StreamAccumulator, EngineStats) {
+    engine.try_run_streamed_with::<StreamAccumulator>(plan).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Checkpointed rounds into the standard accumulator; a checkpoint or
+/// grading error is reported and exits 1.
+fn resumable(
+    engine: &Engine,
+    plan: &CampaignPlan<'_>,
+    ropts: &ResumeOptions,
+) -> ResumableRun<StreamAccumulator> {
+    engine.run_streamed_resumable_with(plan, ropts).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    })
 }
 
 /// With `--progress json`: a hook that prints each chunk's
@@ -954,10 +969,7 @@ fn run_resume(path: &str, opts: &Options) {
     ropts.every = opts.checkpoint_every;
     ropts.cancel = Some(signal_cancel_token());
     let target = target.to_owned();
-    let run = engine.run_streamed_resumable(&plan, &ropts).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let run = resumable(&engine, &plan, &ropts);
     finish_resumable(&circuit, &target, &engine, path, &run);
 }
 

@@ -84,7 +84,7 @@ mod tests {
     fn all_names_build() {
         for name in NAMES {
             let n = build(name).unwrap_or_else(|| panic!("{name} missing"));
-            assert_eq!(n.name().is_empty(), false);
+            assert!(!n.name().is_empty());
             assert!(n.num_ffs() > 0, "{name} has no flip-flops");
         }
     }

@@ -93,14 +93,14 @@ pub fn b03_style() -> Netlist {
     // non-zero credit (simple rotate-priority network).
     let ptr_hot = r.decode(&ptr.q());
     let mut grant_bits = Vec::with_capacity(4);
-    for i in 0..4 {
+    for (i, credit) in credits.iter().enumerate() {
         // client i is granted if latched[i] & credit[i]!=0 and it wins
         // priority: pointer == i, or pointer == i-1 and client i-1 idle...
         // Simplified rotate priority: weight = (i - ptr) mod 4; grant the
         // minimal-weight pending client. Elaborate as: grant[i] = pending[i]
         // & NOT (any pending with smaller weight). Build with muxes over
         // ptr_hot.
-        let nz = r.reduce_or(&credits[i].q());
+        let nz = r.reduce_or(&credit.q());
         let pend = r.bit_builder().and2(latched.q().bit(i), nz);
         grant_bits.push(pend);
         let _ = &ptr_hot;
@@ -113,9 +113,9 @@ pub fn b03_style() -> Netlist {
             // under rotation p, client order is p, p+1, p+2, p+3.
             let my_rank = (4 + i - p) % 4;
             let mut win = grant_bits[i];
-            for j in 0..4 {
+            for (j, &grant) in grant_bits.iter().enumerate() {
                 if (4 + j - p) % 4 < my_rank {
-                    let nj = r.bit_builder().not(grant_bits[j]);
+                    let nj = r.bit_builder().not(grant);
                     win = r.bit_builder().and2(win, nj);
                 }
             }

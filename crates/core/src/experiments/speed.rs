@@ -123,7 +123,7 @@ pub fn speed_for(
     let plan = CampaignPlan::builder(circuit, tb)
         .policy(ShardPolicy { threads: 0, serial_below: 0 })
         .build();
-    let engine_run = Engine::for_circuit(circuit, tb).run(&plan);
+    let engine_run = Engine::new(&plan).run(&plan);
     let threads = engine_run.stats().threads;
     rows.push(SpeedRow {
         label: format!("fault simulation (this host, engine, {threads} threads)"),

@@ -59,12 +59,10 @@ pub mod prelude {
     pub use seugrade_engine::bench as engine_bench;
     pub use seugrade_engine::{
         throughput_harness, BenchRecord, BenchReport, CampaignPlan, CampaignPlanBuilder,
-        CampaignRun, CancelToken, Checkpoint, Engine, EngineError, EngineStats, FaultPlan,
-        FaultSource, Fingerprint, GradeBenchReport, GradeRecord, PersistentSink, ProgressCounter,
-        ProgressEvent, ProgressHook, ResumableRun, ResumeError, ResumeOptions, ShardPolicy,
-        StreamAccumulator,
-        StreamedRun, VerdictSink, BENCH_SCHEMA, CKPT_SCHEMA, DEFAULT_CHECKPOINT_EVERY,
-        GRADE_BENCH_SCHEMA,
+        CampaignRun, CancelToken, Checkpoint, Engine, EngineError, EngineStats, FaultSource,
+        Fingerprint, GradeBenchReport, GradeRecord, PersistentSink, ProgressEvent, ProgressHook,
+        ResumableRun, ResumeError, ResumeOptions, ShardPolicy, StreamAccumulator, VerdictSink,
+        BENCH_SCHEMA, CKPT_SCHEMA, DEFAULT_CHECKPOINT_EVERY, GRADE_BENCH_SCHEMA,
     };
     pub use seugrade_emulation::controller::{CampaignTiming, ClockHz, TimingConfig};
     pub use seugrade_emulation::hostlink::HostLinkModel;
@@ -72,7 +70,7 @@ pub mod prelude {
     pub use seugrade_faultsim::sampling::{estimate_classes, wilson_interval, ClassEstimate};
     pub use seugrade_faultsim::{
         multi, report, Collapse, Fault, FaultClass, FaultList, FaultOutcome, GradeScratch,
-        Grader, GradingSummary, MultiFault, DEFAULT_WINDOW_CACHE_SPANS,
+        Grader, GradingSummary, Injection, MultiFault, DEFAULT_WINDOW_CACHE_SPANS,
     };
     pub use seugrade_harden::{dwc, tmr};
     pub use seugrade_netlist::{

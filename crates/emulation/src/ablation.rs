@@ -26,6 +26,7 @@ use seugrade_faultsim::{Fault, FaultOutcome};
 use crate::campaign::Technique;
 use crate::controller::{CampaignTiming, TimingConfig};
 
+#[allow(clippy::too_many_arguments)]
 fn finish(
     technique: Technique,
     cfg: &TimingConfig,

@@ -199,7 +199,9 @@ impl AutonomousCampaign {
             .trace_policy(trace_policy)
             .build();
         let engine = Engine::new(&plan);
-        let (sink, stats): (CampaignSink, EngineStats) = engine.run_streamed_with(&plan);
+        let (sink, stats) = engine
+            .try_run_streamed_with::<CampaignSink>(&plan)
+            .unwrap_or_else(|e| panic!("{e}"));
         let timings = sink.finish_timings(&timing_config, tb.num_cycles(), circuit.num_ffs());
         StreamedCampaign {
             summary: sink.summary().clone(),

@@ -110,6 +110,7 @@ impl CampaignTiming {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn finish(
     technique: Technique,
     cfg: &TimingConfig,

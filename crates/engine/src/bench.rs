@@ -311,7 +311,7 @@ pub fn throughput_harness(
         thread_counts.iter().all(|&t| t > 0),
         "thread counts must be positive"
     );
-    let engine = Engine::for_circuit(circuit, tb);
+    let engine = Engine::new(&CampaignPlan::builder(circuit, tb).build());
     let exhaustive = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
     let mut report = BenchReport::new();
 

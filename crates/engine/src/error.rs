@@ -4,7 +4,7 @@
 //! panic (worker died, poisoning the whole campaign) or silence. A
 //! multi-hour campaign deserves better — every fault-tolerant entry
 //! point ([`Engine::try_run_streamed_with`](crate::Engine::try_run_streamed_with),
-//! [`Engine::run_streamed_resumable`](crate::Engine::run_streamed_resumable))
+//! [`Engine::run_streamed_resumable_with`](crate::Engine::run_streamed_resumable_with))
 //! reports through [`EngineError`] instead, so callers can retry, resume
 //! from a checkpoint, or surface a precise diagnostic.
 

@@ -14,13 +14,13 @@
 //!
 //! | module | role |
 //! |--------|------|
-//! | [`plan`] | [`CampaignPlan`] builder: circuit × test bench × fault source × techniques × [`ShardPolicy`] × `TracePolicy` |
-//! | [`runtime`] | [`Engine`]: shard, dispatch, merge; [`CampaignRun`] / [`StreamedRun`] results |
-//! | [`stream`] | cycle-major chunk plans and online [`VerdictSink`]s — the memory-bounded campaign core |
+//! | [`plan`] | [`CampaignPlan`] builder: circuit × test bench × fault source (SEUs or MBUs) × techniques × [`ShardPolicy`] × `TracePolicy` |
+//! | [`runtime`] | [`Engine`]: one chunk driver behind three run methods — materialized [`CampaignRun`], one streamed round, checkpointed [`ResumableRun`] rounds |
+//! | [`stream`] | cycle-major chunk plans for every fault source and online [`VerdictSink`]s — the memory-bounded campaign core |
 //! | [`resume`] | `seugrade-campaign-ckpt/v1` checkpoints, [`Fingerprint`] verification, [`PersistentSink`] — the interruption-safety layer |
 //! | [`error`] | [`EngineError`]: structured failures (worker panics, checkpoint problems) |
 //! | [`cancel`] | [`CancelToken`]: cooperative chunk-boundary cancellation |
-//! | [`progress`] | per-shard [`ProgressEvent`]s, [`ProgressCounter`], [`EngineStats`] |
+//! | [`progress`] | per-shard [`ProgressEvent`]s, the [`ProgressHook`] resumable runs call, [`EngineStats`] |
 //! | [`mod@bench`] | [`throughput_harness`] and the stable `BENCH_engine.json` schema |
 //!
 //! # Example
@@ -70,10 +70,10 @@ pub use bench::{
 pub use cancel::CancelToken;
 pub use error::EngineError;
 pub use plan::{CampaignPlan, CampaignPlanBuilder, FaultSource, ShardPolicy, Technique};
-pub use progress::{EngineStats, ProgressCounter, ProgressEvent, ProgressHook};
+pub use progress::{EngineStats, ProgressEvent, ProgressHook};
 pub use resume::{
     write_durable, Checkpoint, Fingerprint, PersistentSink, ResumeError, ResumeOptions,
     CKPT_SCHEMA, DEFAULT_CHECKPOINT_EVERY,
 };
-pub use runtime::{CampaignRun, Engine, FaultPlan, ResumableRun, StreamedRun};
+pub use runtime::{CampaignRun, Engine, ResumableRun};
 pub use stream::{StreamAccumulator, VerdictSink};

@@ -72,6 +72,8 @@ pub enum FaultSource {
     /// An explicit fault list supplied by the caller.
     List(FaultList),
     /// Multi-bit upsets (each fault flips several flip-flops at once).
+    /// Graded by [`Engine::run`](crate::Engine::run); the streamed paths
+    /// take single-fault sources only.
     Multi(Vec<MultiFault>),
 }
 
@@ -246,14 +248,6 @@ impl<'a> CampaignPlan<'a> {
     #[must_use]
     pub fn execute(&self) -> crate::CampaignRun {
         crate::Engine::new(self).run(self)
-    }
-
-    /// Builds an engine for this plan and runs it once through the
-    /// memory-bounded streaming path (see
-    /// [`Engine::run_streamed`](crate::Engine::run_streamed)).
-    #[must_use]
-    pub fn execute_streamed(&self) -> crate::StreamedRun {
-        crate::Engine::new(self).run_streamed(self)
     }
 }
 

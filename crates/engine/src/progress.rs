@@ -1,7 +1,6 @@
 //! Progress reporting and runtime statistics for engine runs.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use seugrade_faultsim::GradingSummary;
@@ -39,11 +38,6 @@ impl ProgressHook {
         ProgressHook(Arc::new(f))
     }
 
-    /// Invokes the callback with one finished-chunk event.
-    pub fn call(&self, event: ProgressEvent) {
-        (self.0)(event);
-    }
-
     /// The wrapped callback.
     pub(crate) fn as_fn(&self) -> &(dyn Fn(ProgressEvent) + Sync) {
         &*self.0
@@ -56,47 +50,13 @@ impl fmt::Debug for ProgressHook {
     }
 }
 
-/// A thread-safe aggregator for [`ProgressEvent`]s — the simplest useful
-/// progress sink (live fault counters for a CLI spinner or a stats
-/// endpoint).
-#[derive(Debug, Default)]
-pub struct ProgressCounter {
-    faults: AtomicUsize,
-    shards: AtomicUsize,
-}
-
-impl ProgressCounter {
-    /// A fresh counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one event in (callable concurrently from any worker).
-    pub fn observe(&self, event: &ProgressEvent) {
-        self.faults.fetch_add(event.faults, Ordering::Relaxed);
-        self.shards.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Faults graded so far.
-    #[must_use]
-    pub fn faults_done(&self) -> usize {
-        self.faults.load(Ordering::Relaxed)
-    }
-
-    /// Shards completed so far.
-    #[must_use]
-    pub fn shards_done(&self) -> usize {
-        self.shards.load(Ordering::Relaxed)
-    }
-}
-
 /// What an engine run cost: the raw material for throughput tracking.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineStats {
     /// Faults graded.
     pub faults: usize,
-    /// Shards dispatched through the chunk queue.
+    /// Shards dispatched through the chunk queue: same-cycle chunks of
+    /// at most 63 faults, SEUs or MBUs.
     pub shards: usize,
     /// Worker threads that actually ran (the policy's request capped at
     /// the shard count — spawning more workers than shards is pointless).
@@ -147,20 +107,6 @@ impl fmt::Display for EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let c = ProgressCounter::new();
-        for shard in 0..5 {
-            c.observe(&ProgressEvent {
-                shard,
-                faults: 64,
-                summary: GradingSummary::new(),
-            });
-        }
-        assert_eq!(c.faults_done(), 320);
-        assert_eq!(c.shards_done(), 5);
-    }
 
     #[test]
     fn stats_rates() {

@@ -1,30 +1,25 @@
 //! The sharded campaign runtime.
 //!
 //! Every run path — materialized, one-shot streamed, resumable — resolves
-//! its fault source into one cycle-major `ChunkPlan` and grades it
+//! its fault source into one cycle-major chunk plan and grades it
 //! through one private chunk driver on the pool's one scheduler; the
 //! paths differ only in what they fold each graded chunk into and
-//! whether a round ends in a checkpoint.
+//! whether a round ends in a checkpoint. MBU campaigns take the same
+//! driver: a lane is an injection set, and an SEU is its one-flip case.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use seugrade_faultsim::{Fault, FaultList, FaultOutcome, Grader, GradingSummary, MultiFault};
-use seugrade_netlist::Netlist;
-use seugrade_sim::{BitCache, Testbench, TracePolicy};
+use seugrade_faultsim::{Fault, FaultList, FaultOutcome, Grader, GradingSummary};
+use seugrade_sim::BitCache;
 
 use crate::error::EngineError;
 use crate::plan::{CampaignPlan, FaultSource, Technique};
 use crate::pool::{run_folded_ctl, FoldControl};
 use crate::progress::{EngineStats, ProgressEvent};
 use crate::resume::{Checkpoint, Fingerprint, PersistentSink, ResumeError, ResumeOptions};
-use crate::stream::{ChunkPlan, StreamAccumulator, VerdictSink};
-
-/// Per-worker grading scratch: the grader's scratch (simulator state +
-/// golden span cache handle + collapse mode + kernel), the chunk fault
-/// buffer, and the chunk's outcome array.
-type WorkerScratch = (seugrade_faultsim::GradeScratch, Vec<Fault>, [FaultOutcome; 63]);
+use crate::stream::{ChunkPlan, Chunks, MultiPlan, VerdictSink};
 
 /// Observer of finished chunks, called from worker threads.
 type ChunkProgress<'r> = &'r (dyn Fn(ProgressEvent) + Sync);
@@ -44,11 +39,11 @@ struct Rounds<'r> {
     progress: Option<ChunkProgress<'r>>,
 }
 
-impl<'r> Rounds<'r> {
+impl Rounds<'_> {
     /// The whole queue as a single round: no cancellation, no
-    /// checkpoint, default retry budget.
-    fn once(progress: Option<ChunkProgress<'r>>) -> Self {
-        Rounds { from: 0, every: usize::MAX, limit: None, ctl: FoldControl::default(), progress }
+    /// checkpoint, no progress callback, default retry budget.
+    fn once() -> Self {
+        Rounds { from: 0, every: usize::MAX, limit: None, ctl: FoldControl::default(), progress: None }
     }
 }
 
@@ -74,37 +69,13 @@ fn observe_chunk<A: VerdictSink>(
     }
 }
 
-/// The materialized faults of one campaign run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultPlan {
-    /// Single-bit faults, in submission order.
-    Single(FaultList),
-    /// Multi-bit upsets, in submission order.
-    Multi(Vec<MultiFault>),
-}
-
-impl FaultPlan {
-    /// Number of faults in the plan.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            FaultPlan::Single(l) => l.len(),
-            FaultPlan::Multi(v) => v.len(),
-        }
-    }
-
-    /// True when the plan grades nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// One finished campaign: the faults, their verdicts (in submission
-/// order), the pooled summary and the runtime statistics.
+/// One finished campaign: its verdicts (in submission order), the
+/// pooled summary and the runtime statistics — plus the single-fault
+/// list for SEU campaigns (an MBU campaign's faults are the list its
+/// plan was built with).
 #[derive(Clone, Debug)]
 pub struct CampaignRun {
-    faults: FaultPlan,
+    faults: Option<FaultList>,
     outcomes: Vec<FaultOutcome>,
     summary: GradingSummary,
     stats: EngineStats,
@@ -112,31 +83,13 @@ pub struct CampaignRun {
 }
 
 impl CampaignRun {
-    /// The materialized faults.
-    #[must_use]
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// The single-fault list, if this was a single-fault campaign.
     #[must_use]
     pub fn single(&self) -> Option<&FaultList> {
-        match &self.faults {
-            FaultPlan::Single(l) => Some(l),
-            FaultPlan::Multi(_) => None,
-        }
+        self.faults.as_ref()
     }
 
-    /// The multi-bit faults, if this was an MBU campaign.
-    #[must_use]
-    pub fn multi(&self) -> Option<&[MultiFault]> {
-        match &self.faults {
-            FaultPlan::Single(_) => None,
-            FaultPlan::Multi(v) => Some(v),
-        }
-    }
-
-    /// Per-fault verdicts, parallel to the fault plan's order.
+    /// Per-fault verdicts, in the order of the plan's faults.
     #[must_use]
     pub fn outcomes(&self) -> &[FaultOutcome] {
         &self.outcomes
@@ -164,54 +117,7 @@ impl CampaignRun {
     /// campaigns (`None` for MBU campaigns).
     #[must_use]
     pub fn into_single(self) -> Option<(FaultList, Vec<FaultOutcome>)> {
-        match self.faults {
-            FaultPlan::Single(l) => Some((l, self.outcomes)),
-            FaultPlan::Multi(_) => None,
-        }
-    }
-}
-
-/// One finished **streamed** campaign: the pooled summary, failure map
-/// and verdict digest — never the faults or per-fault outcomes, which
-/// is the point (campaign memory stays `O(threads × FFs)` however large
-/// the fault space).
-///
-/// Produced by [`Engine::run_streamed`] /
-/// [`CampaignPlan::execute_streamed`].
-#[derive(Clone, Debug)]
-pub struct StreamedRun {
-    acc: StreamAccumulator,
-    stats: EngineStats,
-}
-
-impl StreamedRun {
-    /// Pooled classification tallies.
-    #[must_use]
-    pub fn summary(&self) -> &GradingSummary {
-        self.acc.summary()
-    }
-
-    /// Failure count per flip-flop index (the weak-area map the paper's
-    /// introduction motivates); trailing never-failing flip-flops may be
-    /// absent.
-    #[must_use]
-    pub fn failure_map(&self) -> &[usize] {
-        self.acc.failure_map()
-    }
-
-    /// Order-independent fingerprint of every `(fault, verdict)` pair;
-    /// compare against [`StreamAccumulator::digest_of`] over a
-    /// materialized reference run to prove bit-identity without storing
-    /// the streamed verdicts.
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        self.acc.digest()
-    }
-
-    /// What the run cost.
-    #[must_use]
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
+        Some((self.faults?, self.outcomes))
     }
 }
 
@@ -219,10 +125,10 @@ impl StreamedRun {
 /// so far, the thread-count-independent chunk cursor, and whether the
 /// run stopped early (cancelled or chunk-limited) or finished.
 ///
-/// Produced by [`Engine::run_streamed_resumable`]. The cursor counts an
-/// exact prefix of the cycle-major chunk queue, so `chunks_done`
-/// identifies precisely which faults the sink has folded — the
-/// invariant that lets a later invocation continue from a checkpoint
+/// Produced by [`Engine::run_streamed_resumable_with`]. The cursor
+/// counts an exact prefix of the cycle-major chunk queue, so
+/// `chunks_done` identifies precisely which faults the sink has folded —
+/// the invariant that lets a later invocation continue from a checkpoint
 /// and land on the uninterrupted run's digest bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct ResumableRun<A> {
@@ -255,18 +161,18 @@ impl<A> ResumableRun<A> {
     }
 }
 
-impl ResumableRun<StreamAccumulator> {
-    /// Converts a **complete** run into the plain streamed-run result;
-    /// `None` while chunks remain.
-    #[must_use]
-    pub fn into_streamed_run(self) -> Option<StreamedRun> {
-        self.is_complete().then(|| StreamedRun { acc: self.sink, stats: self.stats })
-    }
-}
-
 /// The campaign engine: a compiled simulator plus golden trace, reusable
-/// across many plan executions (each [`run`](Self::run) may use a
-/// different fault source or shard policy).
+/// across many plan executions (each run may use a different fault
+/// source or shard policy).
+///
+/// It has one run method per result contract:
+///
+/// - [`run`](Self::run) materializes every verdict, for every fault
+///   source (MBUs included);
+/// - [`try_run_streamed_with`](Self::try_run_streamed_with) folds one
+///   round into a [`VerdictSink`];
+/// - [`run_streamed_resumable_with`](Self::run_streamed_resumable_with)
+///   folds checkpointed rounds into a [`PersistentSink`].
 ///
 /// # Determinism
 ///
@@ -281,9 +187,9 @@ impl ResumableRun<StreamAccumulator> {
 #[derive(Debug)]
 pub struct Engine {
     grader: Grader,
-    /// Identity of the compiled circuit, kept so [`run`](Self::run) can
-    /// reject plans for a *different* circuit that happens to share
-    /// dimensions with this one.
+    /// Identity of the compiled circuit, kept so a run can reject plans
+    /// for a *different* circuit that happens to share dimensions with
+    /// this one.
     circuit_name: String,
     num_cells: usize,
 }
@@ -292,45 +198,16 @@ impl Engine {
     /// Builds the runtime for a plan's circuit, test bench and
     /// golden-trace storage policy (runs the golden reference once).
     ///
-    /// # Panics
-    ///
-    /// Panics if the test bench width does not match the circuit.
+    /// Under [`TracePolicy::Checkpoint`](seugrade_sim::TracePolicy::Checkpoint)
+    /// the engine's golden-trace memory is `O(FFs × cycles / K)` and
+    /// golden spans are replayed from the nearest checkpoint on demand;
+    /// verdicts are bit-identical to the dense engine and to the serial
+    /// reference (the agreement suites enforce both).
     #[must_use]
     pub fn new(plan: &CampaignPlan<'_>) -> Self {
-        Self::for_circuit_with_policy(plan.circuit(), plan.testbench(), plan.trace_policy())
-    }
-
-    /// Builds the runtime directly from a circuit / test-bench pair,
-    /// with a dense golden trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the test bench width does not match the circuit.
-    #[must_use]
-    pub fn for_circuit(circuit: &Netlist, tb: &Testbench) -> Self {
-        Self::for_circuit_with_policy(circuit, tb, TracePolicy::Dense)
-    }
-
-    /// Builds the runtime with an explicit [`TracePolicy`].
-    ///
-    /// Under [`TracePolicy::Checkpoint`] the engine's golden-trace
-    /// memory is `O(FFs × cycles / K)` and golden spans are replayed
-    /// from the nearest checkpoint on demand; verdicts are bit-identical
-    /// to the dense engine and to the serial reference (the agreement
-    /// suites enforce both).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the test bench width does not match the circuit or the
-    /// policy is `Checkpoint(0)`.
-    #[must_use]
-    pub fn for_circuit_with_policy(
-        circuit: &Netlist,
-        tb: &Testbench,
-        policy: TracePolicy,
-    ) -> Self {
+        let circuit = plan.circuit();
         Engine {
-            grader: Grader::with_policy(circuit, tb, policy),
+            grader: Grader::with_policy(circuit, plan.testbench(), plan.trace_policy()),
             circuit_name: circuit.name().to_owned(),
             num_cells: circuit.num_cells(),
         }
@@ -342,7 +219,9 @@ impl Engine {
         &self.grader
     }
 
-    /// Executes a plan.
+    /// Executes a plan, materializing every verdict in submission order.
+    /// Every fault source grades through the one chunk driver; an MBU
+    /// campaign's lanes flip each fault's whole flip-flop set.
     ///
     /// # Panics
     ///
@@ -351,47 +230,16 @@ impl Engine {
     /// flip-flop.
     #[must_use]
     pub fn run(&self, plan: &CampaignPlan<'_>) -> CampaignRun {
-        self.run_with_progress(plan, |_| {})
-    }
-
-    /// Executes a plan, invoking `on_shard` from worker threads as each
-    /// shard completes (see [`ProgressEvent`] for ordering caveats).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[must_use]
-    pub fn run_with_progress(
-        &self,
-        plan: &CampaignPlan<'_>,
-        on_shard: impl Fn(ProgressEvent) + Sync,
-    ) -> CampaignRun {
         self.check_plan(plan);
         let (faults, outcomes, stats) = if let FaultSource::Multi(list) = plan.source() {
-            let (outcomes, stats) = self.grade_multi(plan, list, &on_shard);
-            (FaultPlan::Multi(list.clone()), outcomes, stats)
+            let lanes = self.grader.chunk_lanes();
+            let chunks = MultiPlan::new(list, self.grader.testbench().num_cycles(), lanes);
+            let (outcomes, stats) = self.materialize(plan, &chunks);
+            (None, outcomes, stats)
         } else {
-            // Verdicts fold tagged with their chunk index and are
-            // scattered into submission order after the join.
             let chunks = self.chunk_plan(plan.source());
-            let mut tagged: Vec<(usize, Vec<FaultOutcome>)> = Vec::new();
-            let driven = self
-                .drive(
-                    plan,
-                    &chunks,
-                    &Rounds::once(Some(&on_shard)),
-                    &mut tagged,
-                    |a: &mut Vec<_>, b| a.extend(b),
-                    |acc, i, _, out| acc.push((i, out.to_vec())),
-                    |_, _| Ok(()),
-                )
-                .unwrap_or_else(|e| panic!("{e}"));
-            let mut outcomes = vec![FaultOutcome::latent(); chunks.num_faults()];
-            for (i, out) in &tagged {
-                chunks.scatter(*i, out, &mut outcomes);
-            }
-            let list = chunks.into_fault_list(self.grader.testbench().num_cycles());
-            (FaultPlan::Single(list), outcomes, driven.stats)
+            let (outcomes, stats) = self.materialize(plan, &chunks);
+            (Some(chunks.into_fault_list(self.grader.testbench().num_cycles())), outcomes, stats)
         };
         CampaignRun {
             faults,
@@ -405,51 +253,15 @@ impl Engine {
     /// Executes a single-fault plan through the **memory-bounded
     /// streaming path**: chunks are pulled lazily from the cycle-major
     /// chunk plan (the exhaustive space is never materialized) and
-    /// verdicts fold into per-worker [`StreamAccumulator`]s that are
-    /// order-merged after the join — campaign memory is
-    /// `O(threads × FFs)` on top of the golden trace, independent of
-    /// `faults × cycles`.
+    /// verdicts fold into per-worker [`VerdictSink`]s (one
+    /// `Default`-created per worker) that merge after the join —
+    /// campaign memory is `O(threads × FFs)` on top of the golden trace,
+    /// independent of `faults × cycles`. Sinks must be order-insensitive
+    /// for the result to be schedule-independent; the standard
+    /// [`StreamAccumulator`](crate::StreamAccumulator)'s digest proves
+    /// the verdicts bit-identical to the materialized and serial engines.
     ///
-    /// Combined with [`TracePolicy::Checkpoint`] this is the
-    /// configuration that grades s5378-class circuits over multi-
-    /// thousand-cycle benches without ever holding the campaign in RAM;
-    /// the [digest](StreamedRun::digest) proves the verdicts
-    /// bit-identical to the materialized and serial engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`run`](Self::run), or if the
-    /// plan's source is [`FaultSource::Multi`] (MBU campaigns go through
-    /// the materialized path), or if a worker panic survives the retry
-    /// budget ([`try_run_streamed_with`](Self::try_run_streamed_with)
-    /// reports that as an error instead).
-    #[must_use]
-    pub fn run_streamed(&self, plan: &CampaignPlan<'_>) -> StreamedRun {
-        let (acc, stats) = self.run_streamed_with::<StreamAccumulator>(plan);
-        StreamedRun { acc, stats }
-    }
-
-    /// [`run_streamed`](Self::run_streamed) with a caller-supplied
-    /// [`VerdictSink`] — the hook the emulation models use to fold their
-    /// technique timing online instead of re-walking a materialized
-    /// outcome vector.
-    ///
-    /// One sink is `Default`-created per worker; sinks must be
-    /// order-insensitive for the result to be schedule-independent.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`run_streamed`](Self::run_streamed).
-    #[must_use]
-    pub fn run_streamed_with<A: VerdictSink>(
-        &self,
-        plan: &CampaignPlan<'_>,
-    ) -> (A, EngineStats) {
-        self.try_run_streamed_with(plan).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-tolerant [`run_streamed_with`](Self::run_streamed_with):
-    /// worker panics are contained, retried up to a bounded budget, and
+    /// Worker panics are contained, retried up to a bounded budget, and
     /// surfaced as [`EngineError::WorkerPanic`] instead of propagating.
     /// The whole queue is one round: no checkpoint, no join barrier
     /// before the last chunk.
@@ -457,7 +269,8 @@ impl Engine {
     /// # Panics
     ///
     /// Panics on plan/engine mismatch or a [`FaultSource::Multi`] source
-    /// (programmer errors); grading failures are `Err`.
+    /// (programmer errors: a sink observes single faults); grading
+    /// failures are `Err`.
     pub fn try_run_streamed_with<A: VerdictSink>(
         &self,
         plan: &CampaignPlan<'_>,
@@ -468,7 +281,7 @@ impl Engine {
         let driven = self.drive(
             plan,
             &chunks,
-            &Rounds::once(None),
+            &Rounds::once(),
             &mut sink,
             A::merge,
             observe_chunk,
@@ -495,21 +308,6 @@ impl Engine {
     /// Panics on plan/engine mismatch, a [`FaultSource::Multi`] source,
     /// or `resume` without a checkpoint path (programmer errors). All
     /// checkpoint and grading failures are `Err`.
-    pub fn run_streamed_resumable(
-        &self,
-        plan: &CampaignPlan<'_>,
-        opts: &ResumeOptions,
-    ) -> Result<ResumableRun<StreamAccumulator>, EngineError> {
-        self.run_streamed_resumable_with(plan, opts)
-    }
-
-    /// [`run_streamed_resumable`](Self::run_streamed_resumable) with a
-    /// caller-supplied [`PersistentSink`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as
-    /// [`run_streamed_resumable`](Self::run_streamed_resumable).
     pub fn run_streamed_resumable_with<A: PersistentSink>(
         &self,
         plan: &CampaignPlan<'_>,
@@ -599,11 +397,11 @@ impl Engine {
         );
     }
 
-    /// Resolves a single-fault source into its cycle-major chunk plan —
-    /// the one place the engine interprets a [`FaultSource`]. The
-    /// exhaustive space chunks arithmetically and an explicit list is
+    /// Resolves a single-fault source into its cycle-major chunk plan.
+    /// The exhaustive space chunks arithmetically and an explicit list is
     /// borrowed; a sample is the one source that inherently materializes
-    /// its faults (a uniform draw needs the whole space).
+    /// its faults (a uniform draw needs the whole space). MBU sources are
+    /// planned by [`run`](Self::run), the one path that grades them.
     fn chunk_plan<'p>(&self, source: &'p FaultSource) -> ChunkPlan<'p> {
         let num_ffs = self.grader.sim().num_ffs();
         let num_cycles = self.grader.testbench().num_cycles();
@@ -621,36 +419,59 @@ impl Engine {
         }
     }
 
-    /// Worker count for a run of `num_faults` faults.
-    fn threads_for(&self, plan: &CampaignPlan<'_>, num_faults: usize) -> usize {
-        if num_faults < plan.policy().serial_below {
-            1
-        } else {
-            plan.policy().resolved_threads().max(1)
+    /// Grades `chunks` as one round, scattering the verdicts back into
+    /// submission order.
+    fn materialize<C: Chunks>(
+        &self,
+        plan: &CampaignPlan<'_>,
+        chunks: &C,
+    ) -> (Vec<FaultOutcome>, EngineStats) {
+        // Verdicts fold tagged with their chunk index and are scattered
+        // into submission order after the join.
+        let mut tagged: Vec<(usize, Vec<FaultOutcome>)> = Vec::new();
+        let driven = self
+            .drive(
+                plan,
+                chunks,
+                &Rounds::once(),
+                &mut tagged,
+                |a: &mut Vec<_>, b| a.extend(b),
+                |acc, i, _, out| acc.push((i, out.to_vec())),
+                |_, _| Ok(()),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+        let mut outcomes = vec![FaultOutcome::latent(); chunks.num_faults()];
+        for (i, out) in &tagged {
+            chunks.scatter(*i, out, &mut outcomes);
         }
+        (outcomes, driven.stats)
     }
 
-    /// The chunk driver every single-fault run path grades through.
+    /// The chunk driver every run path grades through.
     ///
     /// Grades `chunks` from `rounds.from` in rounds of `rounds.every`
     /// chunks on the pool. `fold` folds each graded chunk (its queue
-    /// index, faults and verdicts) into a per-worker accumulator; after
+    /// index, lanes and verdicts) into a per-worker accumulator; after
     /// each round's join the accumulators `merge` into `sink` and
     /// `after_round` sees the cumulative cursor. Stops early, between
     /// chunks, on cancellation or `rounds.limit`.
     #[allow(clippy::too_many_arguments)]
-    fn drive<A: Default + Send>(
+    fn drive<C: Chunks, A: Default + Send>(
         &self,
         plan: &CampaignPlan<'_>,
-        chunks: &ChunkPlan<'_>,
+        chunks: &C,
         rounds: &Rounds<'_>,
         sink: &mut A,
         merge: impl Fn(&mut A, A) + Sync,
-        fold: impl Fn(&mut A, usize, &[Fault], &[FaultOutcome]) + Sync,
+        fold: impl Fn(&mut A, usize, &[C::Lane], &[FaultOutcome]) + Sync,
         mut after_round: impl FnMut(usize, &A) -> Result<(), EngineError>,
     ) -> Result<Driven, EngineError> {
         let total = chunks.num_chunks();
-        let threads = self.threads_for(plan, chunks.num_faults());
+        let threads = if chunks.num_faults() < plan.policy().serial_below {
+            1
+        } else {
+            plan.policy().resolved_threads().max(1)
+        };
         let cancelled = || rounds.ctl.cancel.is_some_and(crate::CancelToken::is_cancelled);
         // One golden span store per run, shared by every worker of every
         // round: a span is replayed once per run, not once per worker or
@@ -669,7 +490,10 @@ impl Engine {
             let status = run_folded_ctl(
                 round,
                 threads,
-                || -> WorkerScratch {
+                // Per-worker: the grader's scratch (simulator state, span
+                // cache handle, collapse mode, kernel), the chunk's lanes
+                // and its verdicts.
+                || {
                     let scratch = self
                         .grader
                         .new_scratch_with_cache(plan.collapse(), bits.clone_handle())
@@ -715,63 +539,32 @@ impl Engine {
         };
         Ok(Driven { done, interrupted, stats })
     }
-
-    /// MBU path: near-equal contiguous slices of the fault vector are
-    /// the shards, graded serially with the multi-bit engine on the
-    /// pool and concatenated in shard order after the join.
-    fn grade_multi(
-        &self,
-        plan: &CampaignPlan<'_>,
-        list: &[MultiFault],
-        on_shard: ChunkProgress<'_>,
-    ) -> (Vec<FaultOutcome>, EngineStats) {
-        let threads = self.threads_for(plan, list.len());
-        // A few shards per thread keeps the queue balanced without
-        // making progress events too chatty.
-        let shards = (threads * 4).clamp(1, list.len().max(1));
-        let bound = |i: usize| i * list.len() / shards;
-        let start = Instant::now();
-        let status = run_folded_ctl(
-            shards,
-            threads,
-            || (),
-            Vec::new,
-            |a: &mut Vec<_>, b| a.extend(b),
-            |(), acc, i| {
-                let out: Vec<FaultOutcome> = list[bound(i)..bound(i + 1)]
-                    .iter()
-                    .map(|f| self.grader.classify_multi(f))
-                    .collect();
-                let summary = GradingSummary::from_outcomes(&out);
-                on_shard(ProgressEvent { shard: i, faults: out.len(), summary });
-                acc.push((i, out));
-            },
-            &FoldControl::default(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        let mut tagged: Vec<(usize, Vec<FaultOutcome>)> =
-            status.accs.into_iter().flatten().collect();
-        tagged.sort_unstable_by_key(|&(i, _)| i);
-        let stats = EngineStats {
-            faults: list.len(),
-            shards,
-            threads: threads.min(shards),
-            wall_ns: start.elapsed().as_nanos(),
-            kernel_switches: 0,
-        };
-        (tagged.into_iter().flat_map(|(_, out)| out).collect(), stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
+
     use seugrade_circuits::{generators, registry};
-    use seugrade_faultsim::FaultClass;
-    use seugrade_sim::Kernel;
+    use seugrade_faultsim::{FaultClass, MultiFault};
+    use seugrade_netlist::Netlist;
+    use seugrade_sim::{Kernel, Testbench, TracePolicy};
 
     use crate::plan::ShardPolicy;
-    use crate::progress::ProgressCounter;
+    use crate::progress::ProgressHook;
+    use crate::stream::StreamAccumulator;
     use super::*;
+
+    /// An engine for the default plan of a circuit / test-bench pair.
+    fn engine_for(circuit: &Netlist, tb: &Testbench) -> Engine {
+        Engine::new(&CampaignPlan::builder(circuit, tb).build())
+    }
+
+    /// One streamed round into the standard accumulator.
+    fn streamed(engine: &Engine, plan: &CampaignPlan<'_>) -> (StreamAccumulator, EngineStats) {
+        engine.try_run_streamed_with::<StreamAccumulator>(plan).expect("streamed run")
+    }
 
     #[test]
     fn exhaustive_matches_serial_engine_at_every_thread_count() {
@@ -805,36 +598,37 @@ mod tests {
         let auto = plan_for(Kernel::Auto);
         let engine = Engine::new(&auto);
         let materialized = engine.run(&auto);
-        let streamed = engine.run_streamed(&auto);
+        let one_round = streamed(&engine, &auto);
         // Rounds of 3 chunks: the resumable path crosses many join
         // barriers where the other two run the queue as one round.
         let resumable = engine
-            .run_streamed_resumable(&auto, &ResumeOptions { every: 3, ..ResumeOptions::default() })
+            .run_streamed_resumable_with::<StreamAccumulator>(
+                &auto,
+                &ResumeOptions { every: 3, ..ResumeOptions::default() },
+            )
             .unwrap();
         assert!(resumable.is_complete());
         assert!(resumable.chunks_total > 3 * 2, "the queue spans several rounds");
-        let resumable_stats = resumable.stats;
-        let resumable = resumable.into_streamed_run().unwrap();
 
         let m = materialized.stats();
         assert!(m.kernel_switches > 0, "viper's cones flood under auto");
-        for (path, s) in [("streamed", streamed.stats()), ("resumable", &resumable_stats)] {
+        let digest = StreamAccumulator::digest_of(
+            materialized.single().unwrap().as_slice(),
+            materialized.outcomes(),
+        );
+        for (path, (sink, s)) in
+            [("streamed", &one_round), ("resumable", &(resumable.sink, resumable.stats))]
+        {
             assert_eq!(
                 (s.faults, s.shards, s.threads, s.kernel_switches),
                 (m.faults, m.shards, m.threads, m.kernel_switches),
                 "{path} stats"
             );
-        }
-        let digest = StreamAccumulator::digest_of(
-            materialized.single().unwrap().as_slice(),
-            materialized.outcomes(),
-        );
-        for (path, run) in [("streamed", &streamed), ("resumable", &resumable)] {
-            assert_eq!(run.summary(), materialized.summary(), "{path} summary");
-            assert_eq!(run.digest(), digest, "{path} digest");
+            assert_eq!(sink.summary(), materialized.summary(), "{path} summary");
+            assert_eq!(sink.digest(), digest, "{path} digest");
         }
         let differential = plan_for(Kernel::Differential);
-        assert_eq!(engine.run_streamed(&differential).stats().kernel_switches, 0);
+        assert_eq!(streamed(&engine, &differential).1.kernel_switches, 0);
     }
 
     #[test]
@@ -853,7 +647,7 @@ mod tests {
     fn sampled_runs_are_seed_deterministic() {
         let circuit = registry::build("b06s").unwrap();
         let tb = Testbench::random(circuit.num_inputs(), 30, 11);
-        let engine = Engine::for_circuit(&circuit, &tb);
+        let engine = engine_for(&circuit, &tb);
         let a = engine.run(
             &CampaignPlan::builder(&circuit, &tb).sampled(50, 23).threads(4).build(),
         );
@@ -895,9 +689,28 @@ mod tests {
                 .build();
             let run = plan.execute();
             assert_eq!(run.outcomes(), serial.as_slice(), "{threads} threads");
-            assert_eq!(run.multi().unwrap().len(), faults.len());
             assert!(run.single().is_none());
+            assert!(run.into_single().is_none());
         }
+    }
+
+    #[test]
+    fn mbu_runs_shard_into_same_cycle_chunks_and_count_kernel_switches() {
+        let circuit = registry::build("viper").unwrap();
+        let tb = Testbench::random(circuit.num_inputs(), 12, 5);
+        let faults = MultiFault::adjacent_pairs(circuit.num_ffs(), 12, 2);
+        let plan = CampaignPlan::builder(&circuit, &tb)
+            .multi(faults.clone())
+            .trace_policy(TracePolicy::Checkpoint(4))
+            .threads(2)
+            .build();
+        let run = plan.execute();
+        // 214 pairs per cycle cut at 63 lanes: 4 chunks per cycle.
+        let per_cycle = (circuit.num_ffs() - 1).div_ceil(63);
+        assert_eq!(run.stats().shards, per_cycle * 12);
+        assert_eq!(run.stats().faults, faults.len());
+        assert!(run.stats().kernel_switches > 0, "viper's MBU cones flood under auto");
+        assert_eq!(run.outcomes(), Engine::new(&plan).grader().run_multi(&faults).as_slice());
     }
 
     #[test]
@@ -907,10 +720,22 @@ mod tests {
         let plan = CampaignPlan::builder(&circuit, &tb)
             .policy(ShardPolicy::with_threads(2))
             .build();
-        let counter = ProgressCounter::new();
-        let run = Engine::new(&plan).run_with_progress(&plan, |e| counter.observe(&e));
-        assert_eq!(counter.faults_done(), run.faults().len());
-        assert_eq!(counter.shards_done(), run.stats().shards);
+        let counts = Arc::new((AtomicUsize::new(0), AtomicUsize::new(0)));
+        let seen = Arc::clone(&counts);
+        let opts = ResumeOptions {
+            every: 5,
+            progress: Some(ProgressHook::new(move |e| {
+                seen.0.fetch_add(e.faults, Ordering::Relaxed);
+                seen.1.fetch_add(1, Ordering::Relaxed);
+            })),
+            ..ResumeOptions::default()
+        };
+        let run = Engine::new(&plan)
+            .run_streamed_resumable_with::<StreamAccumulator>(&plan, &opts)
+            .unwrap();
+        assert_eq!(counts.0.load(Ordering::Relaxed), circuit.num_ffs() * 20);
+        assert_eq!(counts.0.load(Ordering::Relaxed), run.faults_total);
+        assert_eq!(counts.1.load(Ordering::Relaxed), run.chunks_total);
     }
 
     #[test]
@@ -922,7 +747,7 @@ mod tests {
             .build();
         let run = plan.execute();
         assert_eq!(run.stats().threads, 1, "18 faults < serial_below");
-        assert_eq!(run.summary().count(FaultClass::Failure), run.faults().len());
+        assert_eq!(run.summary().count(FaultClass::Failure), run.outcomes().len());
     }
 
     #[test]
@@ -943,16 +768,15 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Engine>();
         assert_send_sync::<CampaignRun>();
-        assert_send_sync::<FaultPlan>();
         assert_send_sync::<EngineStats>();
-        assert_send_sync::<StreamedRun>();
+        assert_send_sync::<ResumableRun<StreamAccumulator>>();
     }
 
     #[test]
     fn streamed_run_matches_materialized_at_every_thread_count() {
         let circuit = registry::build("b06s").unwrap();
         let tb = Testbench::random(circuit.num_inputs(), 24, 7);
-        let engine = Engine::for_circuit(&circuit, &tb);
+        let engine = engine_for(&circuit, &tb);
         let reference = engine.run(&CampaignPlan::builder(&circuit, &tb).build());
         let ref_digest = StreamAccumulator::digest_of(
             reference.single().unwrap().as_slice(),
@@ -962,24 +786,23 @@ mod tests {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .policy(crate::ShardPolicy::with_threads(threads))
                 .build();
-            let streamed = engine.run_streamed(&plan);
-            assert_eq!(streamed.summary(), reference.summary(), "{threads} threads");
-            assert_eq!(streamed.digest(), ref_digest, "{threads} threads");
-            assert_eq!(streamed.stats().faults, reference.faults().len());
-            assert_eq!(streamed.stats().shards, reference.stats().shards);
+            let (acc, stats) = streamed(&engine, &plan);
+            assert_eq!(acc.summary(), reference.summary(), "{threads} threads");
+            assert_eq!(acc.digest(), ref_digest, "{threads} threads");
+            assert_eq!(stats.faults, reference.outcomes().len());
+            assert_eq!(stats.shards, reference.stats().shards);
         }
         // Failure map agrees with the grader's materialized one.
         let map = engine
             .grader()
             .failure_map(reference.single().unwrap().as_slice(), reference.outcomes());
-        let streamed = engine.run_streamed(&CampaignPlan::builder(&circuit, &tb).build());
-        assert_eq!(&map[..streamed.failure_map().len()], streamed.failure_map());
-        assert!(map[streamed.failure_map().len()..].iter().all(|&c| c == 0));
+        let (acc, _) = streamed(&engine, &CampaignPlan::builder(&circuit, &tb).build());
+        assert_eq!(&map[..acc.failure_map().len()], acc.failure_map());
+        assert!(map[acc.failure_map().len()..].iter().all(|&c| c == 0));
     }
 
     #[test]
     fn streamed_checkpoint_engine_matches_dense_and_serial() {
-        use seugrade_sim::TracePolicy;
         let circuit = registry::build("b03s").unwrap();
         let tb = Testbench::random(circuit.num_inputs(), 40, 11);
         let grader = Grader::new(&circuit, &tb);
@@ -993,8 +816,7 @@ mod tests {
                 .build();
             let engine = Engine::new(&plan);
             assert_eq!(engine.grader().trace_policy(), TracePolicy::Checkpoint(k));
-            let streamed = engine.run_streamed(&plan);
-            assert_eq!(streamed.digest(), serial_digest, "K={k}");
+            assert_eq!(streamed(&engine, &plan).0.digest(), serial_digest, "K={k}");
             // The materialized path agrees under the same policy too.
             let run = engine.run(&plan);
             assert_eq!(run.outcomes(), serial.as_slice(), "K={k} materialized");
@@ -1005,7 +827,7 @@ mod tests {
     fn streamed_sampled_and_list_sources_agree_with_run() {
         let circuit = registry::build("b06s").unwrap();
         let tb = Testbench::random(circuit.num_inputs(), 20, 3);
-        let engine = Engine::for_circuit(&circuit, &tb);
+        let engine = engine_for(&circuit, &tb);
         for source in [
             FaultSource::Sampled { count: 50, seed: 23 },
             FaultSource::List(FaultList::sampled(circuit.num_ffs(), 20, 30, 5)),
@@ -1015,10 +837,10 @@ mod tests {
                 .threads(3)
                 .build();
             let run = engine.run(&plan);
-            let streamed = engine.run_streamed(&plan);
-            assert_eq!(streamed.summary(), run.summary());
+            let (acc, _) = streamed(&engine, &plan);
+            assert_eq!(acc.summary(), run.summary());
             assert_eq!(
-                streamed.digest(),
+                acc.digest(),
                 StreamAccumulator::digest_of(run.single().unwrap().as_slice(), run.outcomes())
             );
         }
@@ -1032,7 +854,7 @@ mod tests {
         let plan = CampaignPlan::builder(&circuit, &tb)
             .multi(MultiFault::adjacent_pairs(3, 6, 2))
             .build();
-        let _ = plan.execute_streamed();
+        let _ = streamed(&Engine::new(&plan), &plan);
     }
 
     #[test]
@@ -1042,10 +864,10 @@ mod tests {
         let plan = CampaignPlan::builder(&circuit, &tb)
             .faults(FaultList::from_faults(Vec::new(), 2, 4))
             .build();
-        let run = plan.execute_streamed();
-        assert_eq!(run.summary().total(), 0);
-        assert_eq!(run.digest(), 0);
-        assert_eq!(run.stats().shards, 0);
+        let (acc, stats) = streamed(&Engine::new(&plan), &plan);
+        assert_eq!(acc.summary().total(), 0);
+        assert_eq!(acc.digest(), 0);
+        assert_eq!(stats.shards, 0);
     }
 
     #[test]
@@ -1054,7 +876,7 @@ mod tests {
         let c1 = generators::counter(2);
         let tb1 = Testbench::constant_low(0, 4);
         let tb2 = Testbench::constant_low(0, 9);
-        let engine = Engine::for_circuit(&c1, &tb1);
+        let engine = engine_for(&c1, &tb1);
         let plan = CampaignPlan::builder(&c1, &tb2).build();
         let _ = engine.run(&plan);
     }
@@ -1067,7 +889,7 @@ mod tests {
         let circuit = generators::shift_register(4);
         let tb1 = Testbench::random(1, 10, 1);
         let tb2 = Testbench::random(1, 10, 2);
-        let engine = Engine::for_circuit(&circuit, &tb1);
+        let engine = engine_for(&circuit, &tb1);
         let plan = CampaignPlan::builder(&circuit, &tb2).build();
         let _ = engine.run(&plan);
     }
@@ -1080,7 +902,7 @@ mod tests {
         let c1 = generators::counter(4);
         let c2 = generators::lfsr(4, &[3, 2]);
         let tb = Testbench::constant_low(0, 8);
-        let engine = Engine::for_circuit(&c1, &tb);
+        let engine = engine_for(&c1, &tb);
         let plan = CampaignPlan::builder(&c2, &tb).build();
         let _ = engine.run(&plan);
     }

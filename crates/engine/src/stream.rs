@@ -5,11 +5,12 @@
 //! enumerated cycle-major on the fly and classified results are dropped
 //! as soon as they are tallied. This module is the software analogue:
 //!
-//! - `ChunkPlan` (crate-internal) turns any single-fault
-//!   [`FaultSource`](crate::FaultSource) into a sequence of same-cycle
-//!   chunks of at most 63 faults. For the exhaustive source the chunks
-//!   are *computed arithmetically* — no `flip-flops × cycles` fault
-//!   vector ever exists; workers regenerate their chunk from its index.
+//! - `ChunkPlan` and `MultiPlan` (crate-internal) turn every
+//!   [`FaultSource`](crate::FaultSource), MBUs included, into a sequence
+//!   of same-cycle chunks of at most 63 lanes. For the exhaustive source
+//!   the chunks are *computed arithmetically* — no `flip-flops × cycles`
+//!   fault vector ever exists; workers regenerate their chunk from its
+//!   index.
 //! - [`VerdictSink`] is the online accumulator contract: each worker
 //!   folds `(fault, outcome)` pairs into a private sink, and the
 //!   per-worker sinks are merged after the join. Sinks must be
@@ -24,89 +25,72 @@
 
 use std::borrow::Cow;
 
-use seugrade_faultsim::{Fault, FaultClass, FaultList, FaultOutcome, GradingSummary};
+use seugrade_faultsim::{
+    Fault, FaultClass, FaultList, FaultOutcome, GradingSummary, Injection, MultiFault,
+};
 use seugrade_netlist::FfIndex;
 
-/// A single-fault campaign cut into same-cycle chunks of at most
+/// A campaign cut into same-cycle chunks of at most
 /// [`Grader::chunk_lanes`](seugrade_faultsim::Grader::chunk_lanes)
-/// faults, in cycle-major order.
+/// lanes, in cycle-major order — what the engine's chunk driver grades.
 ///
 /// The chunk sequence is the unit the pool's workers pull lazily; a
-/// worker holds one chunk (≤ 63 faults) and its grading scratch at a
-/// time, so campaign memory is independent of the fault-space size on
-/// the exhaustive path.
-#[derive(Debug)]
-pub(crate) enum ChunkPlan<'a> {
-    /// The full `flip-flops × cycles` space; chunk `i` is derived from
-    /// its index alone.
-    Exhaustive {
-        /// Flip-flop dimension.
-        num_ffs: usize,
-        /// Fault lanes per chunk (64 dense, 63 checkpointed — the
-        /// grader's golden companion machine reserves lane 63).
-        lanes: usize,
-        /// Chunks per cycle: `ceil(num_ffs / lanes)`.
-        per_cycle: usize,
-        /// Total chunks: `per_cycle × num_cycles`.
-        chunks: usize,
-        /// Total faults.
-        faults: usize,
-    },
-    /// An explicit list, counting-sorted into same-cycle runs; `order`
-    /// maps sorted position → submission index.
-    Ordered {
-        /// The faults, in submission order: a borrowed list or a drawn
-        /// sample.
-        faults: Cow<'a, FaultList>,
-        /// Cycle-major permutation of `0..faults.len()`.
-        order: Vec<u32>,
-        /// `(lo, hi)` ranges into `order`, one per chunk.
-        batches: Vec<(usize, usize)>,
-    },
+/// worker holds one chunk (≤ 63 lanes) and its grading scratch at a
+/// time.
+pub(crate) trait Chunks: Sync {
+    /// One lane's injection set.
+    type Lane: Injection + Send;
+
+    /// Number of chunks.
+    fn num_chunks(&self) -> usize;
+
+    /// Total faults across all chunks.
+    fn num_faults(&self) -> usize;
+
+    /// Faults covered by the chunks before `chunk` — the fault-space
+    /// position of a resume cursor.
+    fn faults_before(&self, chunk: usize) -> usize;
+
+    /// Writes chunk `i`'s lanes (all sharing one injection cycle) into
+    /// `buf`.
+    fn fill(&self, i: usize, buf: &mut Vec<Self::Lane>);
+
+    /// Scatters chunk `i`'s verdicts back into submission order.
+    fn scatter(&self, i: usize, out: &[FaultOutcome], dest: &mut [FaultOutcome]);
 }
 
-impl<'a> ChunkPlan<'a> {
-    /// Plans the exhaustive `num_ffs × num_cycles` space without
-    /// materializing it, cutting each cycle into chunks of at most
-    /// `lanes` faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds the 64-lane word width.
-    pub(crate) fn exhaustive(num_ffs: usize, num_cycles: usize, lanes: usize) -> Self {
-        assert!(lanes >= 1 && lanes <= 64, "chunk lanes out of range");
-        let per_cycle = num_ffs.div_ceil(lanes);
-        ChunkPlan::Exhaustive {
-            num_ffs,
-            lanes,
-            per_cycle,
-            chunks: per_cycle * num_cycles,
-            faults: num_ffs * num_cycles,
-        }
-    }
+/// A stable counting sort of an explicit fault list by injection cycle,
+/// cut into same-cycle runs of at most `lanes` — the chunking of every
+/// source that is not the arithmetic exhaustive space.
+#[derive(Debug)]
+pub(crate) struct CycleOrder {
+    /// Cycle-major permutation of submission indices.
+    order: Vec<u32>,
+    /// `(lo, hi)` ranges into `order`, one per chunk.
+    batches: Vec<(usize, usize)>,
+}
 
-    /// Plans an explicit fault list (stable counting sort by injection
-    /// cycle, then runs cut at `lanes`).
+impl CycleOrder {
+    /// Sorts `faults` by injection cycle (stable) and cuts the runs.
     ///
     /// # Panics
     ///
     /// Panics if a fault's cycle is `>= num_cycles`, or if `lanes` is 0
     /// or exceeds the 64-lane word width.
-    pub(crate) fn ordered(faults: Cow<'a, FaultList>, num_cycles: usize, lanes: usize) -> Self {
-        assert!(lanes >= 1 && lanes <= 64, "chunk lanes out of range");
-        let mut counts = vec![0usize; num_cycles];
-        for f in faults.as_slice() {
-            assert!((f.cycle as usize) < num_cycles, "fault cycle out of range");
-            counts[f.cycle as usize] += 1;
-        }
+    pub(crate) fn new<I: Injection>(faults: &[I], num_cycles: usize, lanes: usize) -> Self {
+        assert!((1..=64).contains(&lanes), "chunk lanes out of range");
         let mut offsets = vec![0usize; num_cycles + 1];
+        for f in faults {
+            assert!((f.cycle() as usize) < num_cycles, "fault cycle out of range");
+            offsets[f.cycle() as usize + 1] += 1;
+        }
         for c in 0..num_cycles {
-            offsets[c + 1] = offsets[c] + counts[c];
+            offsets[c + 1] += offsets[c];
         }
         let mut cursor = offsets.clone();
         let mut order = vec![0u32; faults.len()];
-        for (i, f) in faults.as_slice().iter().enumerate() {
-            let c = f.cycle as usize;
+        for (i, f) in faults.iter().enumerate() {
+            let c = f.cycle() as usize;
             order[cursor[c]] = i as u32;
             cursor[c] += 1;
         }
@@ -119,30 +103,113 @@ impl<'a> ChunkPlan<'a> {
                 start = stop;
             }
         }
-        ChunkPlan::Ordered { faults, order, batches }
+        CycleOrder { order, batches }
     }
 
-    /// Number of chunks.
-    pub(crate) fn num_chunks(&self) -> usize {
+    /// Faults before chunk `chunk`: batches partition the sorted list
+    /// contiguously, so this is the previous batch's end.
+    fn faults_before(&self, chunk: usize) -> usize {
+        match chunk {
+            0 => 0,
+            c if c >= self.batches.len() => self.order.len(),
+            c => self.batches[c - 1].1,
+        }
+    }
+
+    /// Submission indices of chunk `i`'s faults.
+    fn chunk(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let (lo, hi) = self.batches[i];
+        self.order[lo..hi].iter().map(|&fi| fi as usize)
+    }
+
+    fn scatter(&self, i: usize, out: &[FaultOutcome], dest: &mut [FaultOutcome]) {
+        for (fi, &o) in self.chunk(i).zip(out) {
+            dest[fi] = o;
+        }
+    }
+}
+
+/// A single-fault campaign cut into same-cycle chunks, in cycle-major
+/// order. For the exhaustive source the chunks are computed
+/// arithmetically, so campaign memory is independent of the fault-space
+/// size.
+#[derive(Debug)]
+pub(crate) enum ChunkPlan<'a> {
+    /// The full `flip-flops × cycles` space; chunk `i` is derived from
+    /// its index alone.
+    Exhaustive {
+        /// Flip-flop dimension.
+        num_ffs: usize,
+        /// Fault lanes per chunk (63: the grader's golden companion
+        /// machine reserves lane 63).
+        lanes: usize,
+        /// Chunks per cycle: `ceil(num_ffs / lanes)`.
+        per_cycle: usize,
+        /// Total chunks: `per_cycle × num_cycles`.
+        chunks: usize,
+        /// Total faults.
+        faults: usize,
+    },
+    /// An explicit list (a borrowed list or a drawn sample), in
+    /// submission order, with its cycle-major chunking.
+    Ordered(Cow<'a, FaultList>, CycleOrder),
+}
+
+impl<'a> ChunkPlan<'a> {
+    /// Plans the exhaustive `num_ffs × num_cycles` space without
+    /// materializing it, cutting each cycle into chunks of at most
+    /// `lanes` faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is 0 or exceeds the 64-lane word width.
+    pub(crate) fn exhaustive(num_ffs: usize, num_cycles: usize, lanes: usize) -> Self {
+        assert!((1..=64).contains(&lanes), "chunk lanes out of range");
+        let per_cycle = num_ffs.div_ceil(lanes);
+        ChunkPlan::Exhaustive {
+            num_ffs,
+            lanes,
+            per_cycle,
+            chunks: per_cycle * num_cycles,
+            faults: num_ffs * num_cycles,
+        }
+    }
+
+    /// Plans an explicit fault list (see [`CycleOrder::new`]).
+    pub(crate) fn ordered(faults: Cow<'a, FaultList>, num_cycles: usize, lanes: usize) -> Self {
+        let order = CycleOrder::new(faults.as_slice(), num_cycles, lanes);
+        ChunkPlan::Ordered(faults, order)
+    }
+
+    /// The planned faults in submission order (the exhaustive space
+    /// materialized) — what a materialized run reports alongside its
+    /// verdicts.
+    pub(crate) fn into_fault_list(self, num_cycles: usize) -> FaultList {
+        match self {
+            ChunkPlan::Exhaustive { num_ffs, .. } => FaultList::exhaustive(num_ffs, num_cycles),
+            ChunkPlan::Ordered(faults, _) => faults.into_owned(),
+        }
+    }
+}
+
+impl Chunks for ChunkPlan<'_> {
+    type Lane = Fault;
+
+    fn num_chunks(&self) -> usize {
         match self {
             ChunkPlan::Exhaustive { chunks, .. } => *chunks,
-            ChunkPlan::Ordered { batches, .. } => batches.len(),
+            ChunkPlan::Ordered(_, order) => order.batches.len(),
         }
     }
 
-    /// Total faults across all chunks.
-    pub(crate) fn num_faults(&self) -> usize {
+    fn num_faults(&self) -> usize {
         match self {
             ChunkPlan::Exhaustive { faults, .. } => *faults,
-            ChunkPlan::Ordered { faults, .. } => faults.len(),
+            ChunkPlan::Ordered(faults, _) => faults.len(),
         }
     }
 
-    /// Faults covered by the chunks before `chunk` — the fault-space
-    /// position of a resume cursor. Pure arithmetic on the exhaustive
-    /// plan; a prefix-sum lookup on ordered plans (batches partition the
-    /// sorted list contiguously).
-    pub(crate) fn faults_before(&self, chunk: usize) -> usize {
+    fn faults_before(&self, chunk: usize) -> usize {
         match self {
             ChunkPlan::Exhaustive { num_ffs, lanes, per_cycle, chunks, faults } => {
                 if chunk >= *chunks {
@@ -152,21 +219,11 @@ impl<'a> ChunkPlan<'a> {
                 // and j*lanes < num_ffs for every in-cycle index.
                 (chunk / per_cycle) * num_ffs + (chunk % per_cycle) * lanes
             }
-            ChunkPlan::Ordered { faults, batches, .. } => {
-                if chunk == 0 {
-                    0
-                } else if chunk >= batches.len() {
-                    faults.len()
-                } else {
-                    batches[chunk - 1].1
-                }
-            }
+            ChunkPlan::Ordered(_, order) => order.faults_before(chunk),
         }
     }
 
-    /// Writes chunk `i`'s faults (all sharing one injection cycle) into
-    /// `buf`.
-    pub(crate) fn fill(&self, i: usize, buf: &mut Vec<Fault>) {
+    fn fill(&self, i: usize, buf: &mut Vec<Fault>) {
         buf.clear();
         match self {
             ChunkPlan::Exhaustive { num_ffs, lanes, per_cycle, .. } => {
@@ -175,26 +232,14 @@ impl<'a> ChunkPlan<'a> {
                 let hi = (lo + lanes).min(*num_ffs);
                 buf.extend((lo..hi).map(|ff| Fault::new(FfIndex::new(ff), cycle)));
             }
-            ChunkPlan::Ordered { faults, order, batches } => {
-                let (lo, hi) = batches[i];
+            ChunkPlan::Ordered(faults, order) => {
                 let faults = faults.as_slice();
-                buf.extend(order[lo..hi].iter().map(|&fi| faults[fi as usize]));
+                buf.extend(order.chunk(i).map(|fi| faults[fi]));
             }
         }
     }
 
-    /// The planned faults in submission order (the exhaustive space
-    /// materialized) — what a materialized run reports alongside its
-    /// verdicts.
-    pub(crate) fn into_fault_list(self, num_cycles: usize) -> FaultList {
-        match self {
-            ChunkPlan::Exhaustive { num_ffs, .. } => FaultList::exhaustive(num_ffs, num_cycles),
-            ChunkPlan::Ordered { faults, .. } => faults.into_owned(),
-        }
-    }
-
-    /// Scatters chunk `i`'s verdicts back into submission order.
-    pub(crate) fn scatter(&self, i: usize, out: &[FaultOutcome], dest: &mut [FaultOutcome]) {
+    fn scatter(&self, i: usize, out: &[FaultOutcome], dest: &mut [FaultOutcome]) {
         match self {
             ChunkPlan::Exhaustive { num_ffs, lanes, per_cycle, .. } => {
                 // Exhaustive submission order *is* cycle-major, so the
@@ -203,13 +248,49 @@ impl<'a> ChunkPlan<'a> {
                 let start = cycle * num_ffs + (i % per_cycle) * lanes;
                 dest[start..start + out.len()].copy_from_slice(out);
             }
-            ChunkPlan::Ordered { order, batches, .. } => {
-                let (lo, hi) = batches[i];
-                for (&fi, &o) in order[lo..hi].iter().zip(out) {
-                    dest[fi as usize] = o;
-                }
-            }
+            ChunkPlan::Ordered(_, order) => order.scatter(i, out, dest),
         }
+    }
+}
+
+/// A multi-bit-upset campaign cut into same-cycle chunks: each lane
+/// flips one [`MultiFault`]'s whole flip-flop set.
+#[derive(Debug)]
+pub(crate) struct MultiPlan<'a> {
+    /// The MBUs, in submission order.
+    faults: &'a [MultiFault],
+    order: CycleOrder,
+}
+
+impl<'a> MultiPlan<'a> {
+    /// Plans an MBU list (see [`CycleOrder::new`]).
+    pub(crate) fn new(faults: &'a [MultiFault], num_cycles: usize, lanes: usize) -> Self {
+        MultiPlan { faults, order: CycleOrder::new(faults, num_cycles, lanes) }
+    }
+}
+
+impl<'a> Chunks for MultiPlan<'a> {
+    type Lane = &'a MultiFault;
+
+    fn num_chunks(&self) -> usize {
+        self.order.batches.len()
+    }
+
+    fn num_faults(&self) -> usize {
+        self.faults.len()
+    }
+
+    fn faults_before(&self, chunk: usize) -> usize {
+        self.order.faults_before(chunk)
+    }
+
+    fn fill(&self, i: usize, buf: &mut Vec<&'a MultiFault>) {
+        buf.clear();
+        buf.extend(self.order.chunk(i).map(|fi| &self.faults[fi]));
+    }
+
+    fn scatter(&self, i: usize, out: &[FaultOutcome], dest: &mut [FaultOutcome]) {
+        self.order.scatter(i, out, dest);
     }
 }
 

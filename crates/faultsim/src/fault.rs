@@ -22,6 +22,36 @@ impl Fault {
     }
 }
 
+/// One lane of a bit-parallel chunk: the flip-flops a fault flips at the
+/// start of its injection cycle. An SEU is the one-flip case; a
+/// [`MultiFault`](crate::MultiFault) flips several distinct flip-flops.
+pub trait Injection {
+    /// Injection cycle (0-based test-bench cycle).
+    fn cycle(&self) -> u32;
+    /// Flip-flops flipped (non-empty and distinct).
+    fn ffs(&self) -> &[FfIndex];
+}
+
+impl Injection for Fault {
+    fn cycle(&self) -> u32 {
+        self.cycle
+    }
+
+    fn ffs(&self) -> &[FfIndex] {
+        std::slice::from_ref(&self.ff)
+    }
+}
+
+impl<I: Injection> Injection for &I {
+    fn cycle(&self) -> u32 {
+        (**self).cycle()
+    }
+
+    fn ffs(&self) -> &[FfIndex] {
+        (**self).ffs()
+    }
+}
+
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}@{}", self.ff, self.cycle)

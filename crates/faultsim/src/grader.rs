@@ -8,7 +8,7 @@ use seugrade_sim::{
     TracePolicy, TraceWindow,
 };
 
-use crate::{Fault, FaultClass, FaultOutcome};
+use crate::{Fault, FaultClass, FaultOutcome, Injection};
 
 /// Default [`BitCache`] capacity (in spans) for grading scratch
 /// state: enough that a worker walking a cycle-major plan keeps its
@@ -96,12 +96,6 @@ pub struct GradeScratch {
 }
 
 impl GradeScratch {
-    /// The collapse mode this scratch grades under.
-    #[must_use]
-    pub fn collapse(&self) -> Collapse {
-        self.collapse
-    }
-
     /// The golden bit-span cache every chunk walk reads (for
     /// hit/miss/replay statistics).
     #[must_use]
@@ -325,27 +319,25 @@ impl Grader {
     pub fn run_parallel(&self, faults: &[Fault]) -> Vec<FaultOutcome> {
         let mut scratch = self.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
         let mut outcomes = vec![FaultOutcome::latent(); faults.len()];
-        // Group indices by injection cycle, preserving order inside a group.
-        let mut by_cycle: Vec<Vec<usize>> = vec![Vec::new(); self.tb.num_cycles()];
-        for (i, f) in faults.iter().enumerate() {
-            assert!(
-                (f.cycle as usize) < self.tb.num_cycles(),
-                "fault cycle out of range"
-            );
-            by_cycle[f.cycle as usize].push(i);
-        }
-        let lanes = self.chunk_lanes();
-        let mut buf = Vec::with_capacity(lanes);
-        let mut out_buf = vec![FaultOutcome::latent(); lanes];
-        for group in &by_cycle {
-            for chunk in group.chunks(lanes) {
-                buf.clear();
-                buf.extend(chunk.iter().map(|&i| faults[i]));
-                self.grade_chunk(&mut scratch, &buf, &mut out_buf[..chunk.len()]);
-                for (k, &fi) in chunk.iter().enumerate() {
-                    outcomes[fi] = out_buf[k];
-                }
+        // Cycle-major submission indices; the sort is stable, so order
+        // inside a cycle is kept.
+        let mut order: Vec<usize> = (0..faults.len()).collect();
+        order.sort_by_key(|&i| faults[i].cycle);
+        let mut buf = Vec::with_capacity(self.chunk_lanes());
+        let mut out = [FaultOutcome::latent(); 63];
+        let mut rest = &order[..];
+        while let Some(&first) = rest.first() {
+            // The next same-cycle run, cut at the lane budget.
+            let t = faults[first].cycle;
+            let lanes = rest.iter().take(self.chunk_lanes());
+            let (chunk, tail) = rest.split_at(lanes.take_while(|&&i| faults[i].cycle == t).count());
+            buf.clear();
+            buf.extend(chunk.iter().map(|&i| faults[i]));
+            self.grade_chunk(&mut scratch, &buf, &mut out[..chunk.len()]);
+            for (&i, &o) in chunk.iter().zip(&out) {
+                outcomes[i] = o;
             }
+            rest = tail;
         }
         outcomes
     }
@@ -386,7 +378,8 @@ impl Grader {
 
     /// Grades up to 63 faults sharing one injection cycle in a single
     /// bit-parallel pass, writing the verdicts into `out` (parallel to
-    /// `chunk`).
+    /// `chunk`). A lane is an [`Injection`]: every flip-flop in its set
+    /// is flipped in that lane — one for an SEU, several for an MBU.
     ///
     /// This is the shard-sized building block the batching engines are
     /// made of: a runtime can cut any fault list into same-cycle chunks
@@ -417,10 +410,10 @@ impl Grader {
     /// Panics if `chunk` is empty, holds more than 63 faults, mixes
     /// injection cycles, targets an out-of-range cycle, or if `out` has a
     /// different length than `chunk`.
-    pub fn grade_chunk(
+    pub fn grade_chunk<I: Injection>(
         &self,
         scratch: &mut GradeScratch,
-        chunk: &[Fault],
+        chunk: &[I],
         out: &mut [FaultOutcome],
     ) {
         let GradeScratch { st, collapse, sim_steps, kernel, diff: sc, bits, kernel_switches } =
@@ -432,7 +425,9 @@ impl Grader {
             Kernel::Tape | Kernel::Differential => usize::MAX,
         };
         for (lane, f) in chunk.iter().enumerate() {
-            self.sim.diff_seed(sc, f.ff, lane as u32);
+            for &ff in f.ffs() {
+                self.sim.diff_seed(sc, ff, lane as u32);
+            }
         }
         let mut span = self.bit_span_for(t, bits);
         let mut switch = *kernel == Kernel::Tape;
@@ -460,16 +455,16 @@ impl Grader {
 
     /// Validates a same-cycle chunk, resets `out` to latent, and returns
     /// the shared injection cycle plus the used-lane mask.
-    fn validate_chunk(&self, chunk: &[Fault], out: &mut [FaultOutcome]) -> (usize, u64) {
+    fn validate_chunk<I: Injection>(&self, chunk: &[I], out: &mut [FaultOutcome]) -> (usize, u64) {
         assert!(!chunk.is_empty(), "empty chunk");
         assert!(
             chunk.len() <= self.chunk_lanes(),
             "a chunk holds at most 63 faults: lane 63 is the golden companion"
         );
         assert_eq!(chunk.len(), out.len(), "outcome slice width");
-        let t = chunk[0].cycle as usize;
+        let t = chunk[0].cycle() as usize;
         assert!(
-            chunk.iter().all(|f| f.cycle as usize == t),
+            chunk.iter().all(|f| f.cycle() as usize == t),
             "chunk mixes injection cycles"
         );
         assert!(t < self.tb.num_cycles(), "fault cycle out of range");

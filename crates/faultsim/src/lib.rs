@@ -65,7 +65,7 @@ mod outcome;
 pub mod report;
 pub mod sampling;
 
-pub use fault::{Fault, FaultList};
+pub use fault::{Fault, FaultList, Injection};
 pub use grader::{Collapse, GradeScratch, Grader, DEFAULT_WINDOW_CACHE_SPANS};
 pub use multi::MultiFault;
 pub use outcome::{FaultClass, FaultOutcome, GradingSummary};

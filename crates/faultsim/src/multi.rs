@@ -10,16 +10,18 @@
 
 use seugrade_netlist::FfIndex;
 
-use crate::{FaultOutcome, Grader};
+use crate::{FaultOutcome, Grader, Injection};
 
 /// A multi-bit fault: flip every listed flip-flop at the start of one
-/// cycle.
+/// cycle. The fields are private so [`new`](Self::new)'s invariant —
+/// a non-empty set of distinct flip-flops — holds for every value;
+/// read them through [`Injection`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MultiFault {
     /// Flip-flops hit (distinct; order irrelevant).
-    pub ffs: Vec<FfIndex>,
+    ffs: Vec<FfIndex>,
     /// Injection cycle.
-    pub cycle: u32,
+    cycle: u32,
 }
 
 impl MultiFault {
@@ -64,6 +66,16 @@ impl MultiFault {
             }
         }
         list
+    }
+}
+
+impl Injection for MultiFault {
+    fn cycle(&self) -> u32 {
+        self.cycle
+    }
+
+    fn ffs(&self) -> &[FfIndex] {
+        &self.ffs
     }
 }
 
@@ -152,7 +164,7 @@ mod tests {
         for f in MultiFault::adjacent_pairs(4, 8, 2) {
             let o = g.classify_multi(&f);
             assert_eq!(o.class, FaultClass::Failure);
-            assert_eq!(o.detect_cycle, Some(f.cycle));
+            assert_eq!(o.detect_cycle, Some(f.cycle()));
         }
     }
 

@@ -134,7 +134,7 @@ fn emit_into(netlist: &Netlist, out: &mut impl std::fmt::Write) -> std::fmt::Res
 }
 
 /// Splits `NAME(arg, arg, ...)` into the head token and its arguments.
-fn call<'a>(text: &'a str, line: usize) -> Result<(&'a str, Vec<&'a str>), NetlistError> {
+fn call(text: &str, line: usize) -> Result<(&str, Vec<&str>), NetlistError> {
     let open = text.find('(').ok_or_else(|| NetlistError::Parse {
         line,
         msg: format!("expected `(` in `{text}`"),

@@ -560,16 +560,17 @@ pub fn sweep_buffers(netlist: &Netlist) -> (Netlist, usize) {
     // Resolve each signal through any chain of buffers to its root
     // driver. Cells are in topological-creation order only for DAG
     // edges, not necessarily for ids, so resolve iteratively per cell.
-    let mut root: Vec<SigId> = (0..n).map(SigId::new).collect();
-    for i in 0..n {
-        let mut cur = SigId::new(i);
-        // Follow the chain; buffer chains are acyclic because the
-        // combinational part of a validated netlist is acyclic.
-        while let CellKind::Gate(GateKind::Buf) = netlist.cell(cur).kind() {
-            cur = netlist.cell(cur).pins()[0];
-        }
-        root[i] = cur;
-    }
+    let root: Vec<SigId> = (0..n)
+        .map(|i| {
+            let mut cur = SigId::new(i);
+            // Follow the chain; buffer chains are acyclic because the
+            // combinational part of a validated netlist is acyclic.
+            while let CellKind::Gate(GateKind::Buf) = netlist.cell(cur).kind() {
+                cur = netlist.cell(cur).pins()[0];
+            }
+            cur
+        })
+        .collect();
 
     let is_buf =
         |id: SigId| matches!(netlist.cell(id).kind(), CellKind::Gate(GateKind::Buf));

@@ -299,7 +299,7 @@ end
         assert_eq!(fan.num_edges(), 5, "one edge per gate pin");
         let pos = |s: SigId| lv.order().iter().position(|&x| x == s).unwrap() as u32;
         // `a` feeds the inverter and the or gate.
-        let mut expect = vec![pos(inv), pos(g2)];
+        let mut expect = [pos(inv), pos(g2)];
         expect.sort_unstable();
         assert_eq!(fan.consumers(a), &expect[..]);
         // The flip-flop output feeds only the and gate.

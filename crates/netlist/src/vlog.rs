@@ -556,7 +556,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                         format!("dff takes exactly (q, d), got {} pins", args.len()),
                     ));
                 }
-                let init = pending_init.take().map_or(false, |(v, _)| v);
+                let init = pending_init.take().is_some_and(|(v, _)| v);
                 body.push((line, Stmt::Dff { net: args[0], init, d: args[1] }));
             }
             Tok::Id(word) => {

@@ -201,9 +201,10 @@ impl Client {
         let start = Instant::now();
         loop {
             let snapshot = self.status(job)?;
-            match snapshot.get("state").and_then(Value::as_str) {
-                Some("done" | "cancelled" | "failed") => return Ok(snapshot),
-                _ => {}
+            if let Some("done" | "cancelled" | "failed") =
+                snapshot.get("state").and_then(Value::as_str)
+            {
+                return Ok(snapshot);
             }
             if start.elapsed() > timeout {
                 return Err(ClientError::Protocol(format!(

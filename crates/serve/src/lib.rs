@@ -17,7 +17,7 @@
 //!                           │ one round (spec.round chunks) at a time,
 //!                           │ re-enqueue until complete — round-robin
 //!                           ▼
-//!                        Engine::run_streamed_resumable  (CampaignSink)
+//!                        Engine::run_streamed_resumable_with::<CampaignSink>
 //!                           │ per-chunk ProgressHook ──▶ Job::broadcast
 //!                           ▼
 //!                        Spool  <spool>/j<N>/{job.json, job.ckpt, result.json}

@@ -32,13 +32,8 @@ fn main() {
     let plan = CampaignPlan::builder(&circuit, &tb)
         .policy(ShardPolicy::auto())
         .build();
-    let counter = ProgressCounter::new();
-    let run = Engine::new(&plan).run_with_progress(&plan, |e| counter.observe(&e));
-    println!(
-        "engine: {} ({} faults observed via progress events)\n",
-        run.stats(),
-        counter.faults_done()
-    );
+    let run = Engine::new(&plan).run(&plan);
+    println!("engine: {}\n", run.stats());
 
     // Hand the graded outcomes to the emulation models without re-grading.
     let (faults, outcomes) = run.into_single().expect("exhaustive plan");

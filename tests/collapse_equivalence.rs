@@ -7,6 +7,12 @@
 
 use seugrade::prelude::*;
 
+/// One streamed round of `plan` on `engine`, folded into the standard
+/// accumulator.
+fn streamed_acc(engine: &Engine, plan: &CampaignPlan<'_>) -> StreamAccumulator {
+    engine.try_run_streamed_with::<StreamAccumulator>(plan).expect("streamed run").0
+}
+
 /// Cycle budget by circuit size, mirroring the other cross-engine
 /// suites: the s5378-class fixtures dominate debug-build runtime.
 fn cycle_budget(num_ffs: usize) -> usize {
@@ -53,7 +59,7 @@ fn collapse_modes_agree_on_every_registry_circuit() {
                         .collapse(collapse)
                         .policy(ShardPolicy::with_threads(threads))
                         .build();
-                    let run = Engine::new(&plan).run_streamed(&plan);
+                    let run = streamed_acc(&Engine::new(&plan), &plan);
                     assert_eq!(
                         run.digest(),
                         reference,

@@ -6,6 +6,12 @@ use proptest::prelude::*;
 use seugrade::generators::{random_sequential, RandomCircuitConfig};
 use seugrade::prelude::*;
 
+/// One streamed round of `plan` on `engine`, folded into the standard
+/// accumulator.
+fn streamed_acc(engine: &Engine, plan: &CampaignPlan<'_>) -> StreamAccumulator {
+    engine.try_run_streamed_with::<StreamAccumulator>(plan).expect("streamed run").0
+}
+
 /// Serial reference vs bit-parallel on every registered benchmark
 /// circuit (the sharded engine's thread counts are pinned below).
 #[test]
@@ -113,7 +119,7 @@ fn sharded_engine_agrees_on_registry_circuits() {
         };
         let serial = grader.run_serial(faults.as_slice());
         let serial_digest = StreamAccumulator::digest_of(faults.as_slice(), &serial);
-        let engine = Engine::for_circuit(&circuit, &tb);
+        let engine = Engine::new(&CampaignPlan::builder(&circuit, &tb).build());
         for threads in [1, 4] {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .faults(faults.clone())
@@ -123,7 +129,7 @@ fn sharded_engine_agrees_on_registry_circuits() {
             assert_eq!(run.outcomes(), serial.as_slice(), "{name} @ {threads} threads");
             // The streamed path never materializes the campaign, yet its
             // digest proves the verdicts fault-for-fault identical.
-            let streamed = engine.run_streamed(&plan);
+            let streamed = streamed_acc(&engine, &plan);
             assert_eq!(streamed.digest(), serial_digest, "{name} streamed @ {threads}");
             assert_eq!(streamed.summary(), run.summary(), "{name} streamed @ {threads}");
         }
@@ -160,7 +166,7 @@ fn streamed_checkpoint_campaign_agrees_on_the_scale_fixture() {
             .policy(ShardPolicy::with_threads(threads))
             .build();
         let engine = Engine::new(&plan);
-        let streamed = engine.run_streamed(&plan);
+        let streamed = streamed_acc(&engine, &plan);
         assert_eq!(streamed.digest(), serial_digest, "{threads} threads");
         let run = engine.run(&plan);
         assert_eq!(run.outcomes(), serial.as_slice(), "{threads} threads materialized");
@@ -195,7 +201,7 @@ fn trace_policies_agree_across_all_entry_points() {
         let engine = Engine::new(&plan);
         assert_eq!(engine.run(&plan).outcomes(), reference.as_slice(), "engine K={k}");
         assert_eq!(
-            engine.run_streamed(&plan).digest(),
+            streamed_acc(&engine, &plan).digest(),
             reference_digest,
             "streamed K={k}"
         );
@@ -232,7 +238,7 @@ proptest! {
         let grader = Grader::new(&circuit, &tb);
         let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
         let serial = grader.run_serial(faults.as_slice());
-        let engine = Engine::for_circuit(&circuit, &tb);
+        let engine = Engine::new(&CampaignPlan::builder(&circuit, &tb).build());
         for threads in [1usize, 2, 4, 8] {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .policy(ShardPolicy::with_threads(threads))
@@ -264,7 +270,7 @@ proptest! {
             .trace_policy(TracePolicy::Checkpoint(k))
             .threads(2)
             .build();
-        let streamed = plan.execute_streamed();
+        let streamed = streamed_acc(&Engine::new(&plan), &plan);
         prop_assert_eq!(
             streamed.digest(),
             StreamAccumulator::digest_of(faults.as_slice(), &reference),
@@ -309,7 +315,7 @@ proptest! {
                 .threads(2)
                 .build();
             prop_assert_eq!(
-                plan.execute_streamed().digest(),
+                streamed_acc(&Engine::new(&plan), &plan).digest(),
                 reference,
                 "cache {} K={}", cache, k
             );
@@ -326,7 +332,7 @@ proptest! {
         let circuit = random_sequential(&config, seed);
         let cycles = 14usize;
         let tb = Testbench::random(circuit.num_inputs(), cycles, seed ^ 0x57EA);
-        let engine = Engine::for_circuit(&circuit, &tb);
+        let engine = Engine::new(&CampaignPlan::builder(&circuit, &tb).build());
         let reference = engine.run(&CampaignPlan::builder(&circuit, &tb).build());
         let ref_digest = StreamAccumulator::digest_of(
             reference.single().expect("exhaustive").as_slice(),
@@ -336,13 +342,14 @@ proptest! {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .policy(ShardPolicy::with_threads(threads))
                 .build();
-            let streamed = engine.run_streamed(&plan);
+            let streamed = streamed_acc(&engine, &plan);
             prop_assert_eq!(streamed.summary(), reference.summary(), "{} threads", threads);
             prop_assert_eq!(streamed.digest(), ref_digest, "{} threads", threads);
         }
     }
 
-    /// Multi-bit campaigns shard identically to the serial MBU engine.
+    /// Multi-bit campaigns shard identically to the serial MBU engine,
+    /// under every kernel.
     #[test]
     fn sharded_mbu_matches_serial_on_generated_circuits(
         config in arb_config(),
@@ -355,13 +362,23 @@ proptest! {
         let k = 2.min(circuit.num_ffs());
         let faults = MultiFault::adjacent_pairs(circuit.num_ffs(), cycles, k);
         let serial = grader.run_multi(&faults);
-        for threads in [2usize, 8] {
-            let plan = CampaignPlan::builder(&circuit, &tb)
-                .multi(faults.clone())
-                .policy(ShardPolicy::with_threads(threads))
-                .build();
-            let run = plan.execute();
-            prop_assert_eq!(run.outcomes(), serial.as_slice(), "{} threads", threads);
+        let engine = Engine::new(&CampaignPlan::builder(&circuit, &tb).build());
+        for kernel in Kernel::ALL {
+            for threads in [2usize, 8] {
+                let plan = CampaignPlan::builder(&circuit, &tb)
+                    .multi(faults.clone())
+                    .kernel(kernel)
+                    .policy(ShardPolicy::with_threads(threads))
+                    .build();
+                let run = engine.run(&plan);
+                prop_assert_eq!(
+                    run.outcomes(),
+                    serial.as_slice(),
+                    "kernel {} @ {} threads",
+                    kernel.label(),
+                    threads
+                );
+            }
         }
     }
 }

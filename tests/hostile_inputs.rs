@@ -31,7 +31,7 @@ fn golden_checkpoint_text() -> String {
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(3);
     opts.meta = vec![("target".to_owned(), "lfsr8".to_owned())];
-    engine.run_streamed_resumable(&plan, &opts).expect("seed checkpoint");
+    engine.run_streamed_resumable_with::<StreamAccumulator>(&plan, &opts).expect("seed checkpoint");
     let text = std::fs::read_to_string(&path).expect("checkpoint written");
     std::fs::remove_file(&path).ok();
     text
@@ -405,7 +405,7 @@ fn rejected_checkpoint_resumes_nothing() {
         .join(format!("seugrade-hostile-reject-{}.ckpt", std::process::id()));
     std::fs::write(&path, "not a checkpoint at all\n").expect("write garbage");
     let err = engine
-        .run_streamed_resumable(&plan, &ResumeOptions::resume_from(&path))
+        .run_streamed_resumable_with::<StreamAccumulator>(&plan, &ResumeOptions::resume_from(&path))
         .expect_err("garbage must not resume");
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, EngineError::Resume(ResumeError::Corrupt { line: 1, .. })), "{err}");

@@ -4,11 +4,18 @@
 //! grade every fault to the identical verdict. This battery pins all
 //! three to bit-identical order-independent digests across the whole
 //! registry, every trace policy, collapse on/off and 1/2/4/8 worker
-//! threads — and repeats the claim on generated random circuits.
+//! threads — for single faults and for multi-bit upsets — and repeats
+//! the claim on generated random circuits.
 
 use proptest::prelude::*;
 use seugrade::generators::{random_sequential, RandomCircuitConfig};
 use seugrade::prelude::*;
+
+/// One streamed round of `plan` on `engine`, folded into the standard
+/// accumulator.
+fn streamed_acc(engine: &Engine, plan: &CampaignPlan<'_>) -> StreamAccumulator {
+    engine.try_run_streamed_with::<StreamAccumulator>(plan).expect("streamed run").0
+}
 
 /// Cycle budget by circuit size, mirroring the other cross-engine
 /// suites: the scale fixtures dominate debug-build runtime.
@@ -51,7 +58,7 @@ fn kernels_agree_on_every_registry_circuit() {
                             .kernel(kernel)
                             .policy(ShardPolicy::with_threads(threads))
                             .build();
-                        let run = Engine::new(&plan).run_streamed(&plan);
+                        let run = streamed_acc(&Engine::new(&plan), &plan);
                         assert_eq!(
                             run.digest(),
                             reference,
@@ -60,6 +67,58 @@ fn kernels_agree_on_every_registry_circuit() {
                             policy.label(),
                             collapse.label(),
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// MBU lanes ride the same chunk walk as SEUs: every registry circuit
+/// plus a TMR-hardened one (which adjacent MBUs can defeat), graded
+/// with adjacent 2- and 3-bit upsets under every kernel, every trace
+/// policy, both collapse modes and 1/2/4/8 threads, lands on the serial
+/// multi-bit engine's verdicts fault for fault, in submission order.
+#[test]
+fn kernels_agree_on_mbu_lanes() {
+    let mut circuits: Vec<Netlist> =
+        registry::NAMES.iter().map(|name| registry::build(name).expect("registered")).collect();
+    circuits.push(tmr(&registry::build("b06s").expect("registered")));
+    for circuit in &circuits {
+        let name = circuit.name();
+        let cycles = cycle_budget(circuit.num_ffs());
+        let tb = Testbench::random(circuit.num_inputs(), cycles, 78);
+        let serial = Grader::new(circuit, &tb);
+        for k in [2, 3].into_iter().filter(|&k| k <= circuit.num_ffs()) {
+            let mut faults = MultiFault::adjacent_pairs(circuit.num_ffs(), cycles, k);
+            // A deterministic subset on the 10k-flip-flop scale fixture
+            // keeps the matrix debug-build sized.
+            if circuit.num_ffs() > 4000 {
+                faults = faults.into_iter().step_by(79).collect();
+            }
+            let reference = serial.run_multi(&faults);
+            for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(3), TracePolicy::Checkpoint(64)] {
+                let engine =
+                    Engine::new(&CampaignPlan::builder(circuit, &tb).trace_policy(policy).build());
+                for kernel in Kernel::ALL {
+                    for collapse in [Collapse::Early, Collapse::Horizon] {
+                        for threads in [1usize, 2, 4, 8] {
+                            let plan = CampaignPlan::builder(circuit, &tb)
+                                .multi(faults.clone())
+                                .trace_policy(policy)
+                                .collapse(collapse)
+                                .kernel(kernel)
+                                .policy(ShardPolicy::with_threads(threads))
+                                .build();
+                            assert_eq!(
+                                engine.run(&plan).outcomes(),
+                                reference.as_slice(),
+                                "{name}: k={k} kernel {} {} collapse {} @ {threads} threads",
+                                kernel.label(),
+                                policy.label(),
+                                collapse.label(),
+                            );
+                        }
                     }
                 }
             }
@@ -79,14 +138,14 @@ fn auto_kernel_matches_every_concrete_kernel() {
         .threads(2)
         .build();
     assert_eq!(auto_plan.kernel(), Kernel::Auto, "builder default");
-    let auto_digest = Engine::new(&auto_plan).run_streamed(&auto_plan).digest();
+    let auto_digest = streamed_acc(&Engine::new(&auto_plan), &auto_plan).digest();
     for kernel in Kernel::CONCRETE {
         let plan = CampaignPlan::builder(&circuit, &tb)
             .trace_policy(TracePolicy::Checkpoint(8))
             .kernel(kernel)
             .threads(2)
             .build();
-        let digest = Engine::new(&plan).run_streamed(&plan).digest();
+        let digest = streamed_acc(&Engine::new(&plan), &plan).digest();
         assert_eq!(digest, auto_digest, "auto vs {}", kernel.label());
     }
 }
@@ -146,7 +205,7 @@ proptest! {
                 .kernel(kernel)
                 .threads(2)
                 .build();
-            let run = Engine::new(&plan).run_streamed(&plan);
+            let run = streamed_acc(&Engine::new(&plan), &plan);
             prop_assert_eq!(run.digest(), reference, "kernel {}", kernel.label());
         }
     }

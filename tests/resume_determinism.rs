@@ -10,6 +10,12 @@
 
 use seugrade::prelude::*;
 
+/// One streamed round of `plan` on `engine`, folded into the standard
+/// accumulator.
+fn streamed_acc(engine: &Engine, plan: &CampaignPlan<'_>) -> StreamAccumulator {
+    engine.try_run_streamed_with::<StreamAccumulator>(plan).expect("streamed run").0
+}
+
 /// A unique temp path per (test, parameter) so parallel tests never
 /// share checkpoint files.
 fn ckpt_path(tag: &str) -> std::path::PathBuf {
@@ -41,7 +47,7 @@ fn interrupted_run_matches(threads: usize, policy: TracePolicy, k: usize, tag: &
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, threads, policy);
-        Engine::new(&p).run_streamed(&p)
+        streamed_acc(&Engine::new(&p), &p)
     };
 
     let path = ckpt_path(tag);
@@ -50,13 +56,13 @@ fn interrupted_run_matches(threads: usize, policy: TracePolicy, k: usize, tag: &
     let mut first = ResumeOptions::checkpoint_to(&path);
     first.every = 2;
     first.limit = Some(k);
-    let partial = engine.run_streamed_resumable(&p, &first).expect("first leg");
+    let partial = engine.run_streamed_resumable_with::<StreamAccumulator>(&p, &first).expect("first leg");
     assert_eq!(partial.chunks_done, k.min(partial.chunks_total), "limit honoured");
     assert_eq!(partial.interrupted, partial.chunks_done < partial.chunks_total);
 
     let mut second = ResumeOptions::resume_from(&path);
     second.every = 3;
-    let resumed = engine.run_streamed_resumable(&p, &second).expect("second leg");
+    let resumed = engine.run_streamed_resumable_with::<StreamAccumulator>(&p, &second).expect("second leg");
     std::fs::remove_file(&path).ok();
 
     assert!(resumed.is_complete(), "second leg finishes the campaign");
@@ -87,7 +93,7 @@ fn interrupted_mid_campaign() {
     let (circuit, tb) = fixture();
     let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
     let total = Engine::new(&p)
-        .run_streamed_resumable(&p, &ResumeOptions::default())
+        .run_streamed_resumable_with::<StreamAccumulator>(&p, &ResumeOptions::default())
         .expect("counting run")
         .chunks_total;
     let mid = total / 2;
@@ -102,7 +108,7 @@ fn interrupted_at_last_chunk() {
     let (circuit, tb) = fixture();
     let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
     let total = Engine::new(&p)
-        .run_streamed_resumable(&p, &ResumeOptions::default())
+        .run_streamed_resumable_with::<StreamAccumulator>(&p, &ResumeOptions::default())
         .expect("counting run")
         .chunks_total;
     for threads in [1, 4] {
@@ -118,14 +124,14 @@ fn checkpoint_trace_policy_resumes_identically() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
-        Engine::new(&p).run_streamed(&p)
+        streamed_acc(&Engine::new(&p), &p)
     };
     for threads in [1, 2, 4, 8] {
         let tag = format!("ckpt64-t{threads}");
         interrupted_run_matches(threads, TracePolicy::Checkpoint(64), 3, &tag);
         // Dense and Checkpoint(64) agree with each other too.
         let p = plan(&circuit, &tb, threads, TracePolicy::Checkpoint(64));
-        let run = Engine::new(&p).run_streamed(&p);
+        let run = streamed_acc(&Engine::new(&p), &p);
         assert_eq!(run.digest(), reference.digest(), "trace policy must not change verdicts");
     }
 }
@@ -137,7 +143,7 @@ fn multi_leg_resume_chain_matches() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 2, TracePolicy::Dense);
-        Engine::new(&p).run_streamed(&p)
+        streamed_acc(&Engine::new(&p), &p)
     };
     let path = ckpt_path("chain");
     let p = plan(&circuit, &tb, 2, TracePolicy::Dense);
@@ -146,13 +152,13 @@ fn multi_leg_resume_chain_matches() {
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.every = 1;
     opts.limit = Some(2);
-    let mut run = engine.run_streamed_resumable(&p, &opts).expect("leg 0");
+    let mut run = engine.run_streamed_resumable_with::<StreamAccumulator>(&p, &opts).expect("leg 0");
     let mut legs = 1usize;
     while !run.is_complete() {
         let mut next = ResumeOptions::resume_from(&path);
         next.every = 1;
         next.limit = Some(2);
-        run = engine.run_streamed_resumable(&p, &next).expect("resume leg");
+        run = engine.run_streamed_resumable_with::<StreamAccumulator>(&p, &next).expect("resume leg");
         legs += 1;
         assert!(legs < 1000, "resume chain must terminate");
     }
@@ -169,7 +175,7 @@ fn cancellation_drains_and_checkpoint_resumes() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
-        Engine::new(&p).run_streamed(&p)
+        streamed_acc(&Engine::new(&p), &p)
     };
     let path = ckpt_path("cancel");
     let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
@@ -179,12 +185,12 @@ fn cancellation_drains_and_checkpoint_resumes() {
     token.cancel();
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.cancel = Some(token);
-    let stopped = engine.run_streamed_resumable(&p, &opts).expect("cancelled leg");
+    let stopped = engine.run_streamed_resumable_with::<StreamAccumulator>(&p, &opts).expect("cancelled leg");
     assert!(stopped.interrupted);
     assert_eq!(stopped.chunks_done, 0);
 
     let resumed = engine
-        .run_streamed_resumable(&p, &ResumeOptions::resume_from(&path))
+        .run_streamed_resumable_with::<StreamAccumulator>(&p, &ResumeOptions::resume_from(&path))
         .expect("resume after cancel");
     std::fs::remove_file(&path).ok();
     assert!(resumed.is_complete());
@@ -202,7 +208,7 @@ fn mismatched_checkpoint_is_rejected_per_field() {
     let engine = Engine::new(&p);
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(1);
-    engine.run_streamed_resumable(&p, &opts).expect("seed checkpoint");
+    engine.run_streamed_resumable_with::<StreamAccumulator>(&p, &opts).expect("seed checkpoint");
 
     // Different circuit, same dimensions.
     let other = generators::counter(12);
@@ -210,7 +216,7 @@ fn mismatched_checkpoint_is_rejected_per_field() {
         .policy(ShardPolicy { threads: 1, serial_below: 0 })
         .build();
     let err = Engine::new(&p2)
-        .run_streamed_resumable(&p2, &ResumeOptions::resume_from(&path))
+        .run_streamed_resumable_with::<StreamAccumulator>(&p2, &ResumeOptions::resume_from(&path))
         .expect_err("foreign circuit must be rejected");
     assert!(matches!(err, EngineError::Resume(ResumeError::Mismatch { .. })), "{err}");
 
@@ -219,14 +225,14 @@ fn mismatched_checkpoint_is_rejected_per_field() {
     let tb2 = Testbench::random(circuit.num_inputs(), 44, 1234);
     let p3 = plan(&circuit, &tb2, 1, TracePolicy::Dense);
     let err = Engine::new(&p3)
-        .run_streamed_resumable(&p3, &ResumeOptions::resume_from(&path))
+        .run_streamed_resumable_with::<StreamAccumulator>(&p3, &ResumeOptions::resume_from(&path))
         .expect_err("foreign bench must be rejected");
     assert!(matches!(err, EngineError::Resume(ResumeError::Mismatch { .. })), "{err}");
 
     // Different trace policy.
     let p4 = plan(&circuit, &tb, 1, TracePolicy::Checkpoint(8));
     let err = Engine::new(&p4)
-        .run_streamed_resumable(&p4, &ResumeOptions::resume_from(&path))
+        .run_streamed_resumable_with::<StreamAccumulator>(&p4, &ResumeOptions::resume_from(&path))
         .expect_err("foreign trace policy must be rejected");
     assert!(matches!(err, EngineError::Resume(ResumeError::Mismatch { field: "trace policy", .. })), "{err}");
 
@@ -303,7 +309,7 @@ fn injected_worker_panics_are_retried_to_the_reference_digest() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
-        Engine::new(&p).run_streamed(&p)
+        streamed_acc(&Engine::new(&p), &p)
     };
     let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
     let engine = Engine::new(&p);
@@ -361,7 +367,7 @@ fn collapse_and_cache_settings_resume_across_each_other() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 1, TracePolicy::Checkpoint(8));
-        Engine::new(&p).run_streamed(&p)
+        streamed_acc(&Engine::new(&p), &p)
     };
     let legs = [
         // (first collapse, first cache, resume collapse, resume cache)
@@ -381,7 +387,7 @@ fn collapse_and_cache_settings_resume_across_each_other() {
         first.every = 1;
         first.limit = Some(3);
         Engine::new(&first_plan)
-            .run_streamed_resumable(&first_plan, &first)
+            .run_streamed_resumable_with::<StreamAccumulator>(&first_plan, &first)
             .expect("first leg");
 
         let second_plan = CampaignPlan::builder(&circuit, &tb)
@@ -391,7 +397,7 @@ fn collapse_and_cache_settings_resume_across_each_other() {
             .window_cache(w2)
             .build();
         let resumed = Engine::new(&second_plan)
-            .run_streamed_resumable(&second_plan, &ResumeOptions::resume_from(&path))
+            .run_streamed_resumable_with::<StreamAccumulator>(&second_plan, &ResumeOptions::resume_from(&path))
             .expect("resume leg under different collapse/cache settings");
         std::fs::remove_file(&path).ok();
         assert!(resumed.is_complete());
@@ -417,7 +423,7 @@ fn sampled_campaign_resumes_identically() {
     };
     let reference = {
         let p = build(1);
-        Engine::new(&p).run_streamed(&p)
+        streamed_acc(&Engine::new(&p), &p)
     };
     for threads in [1, 4] {
         let path = ckpt_path(&format!("sampled-t{threads}"));
@@ -426,9 +432,9 @@ fn sampled_campaign_resumes_identically() {
         let mut opts = ResumeOptions::checkpoint_to(&path);
         opts.every = 2;
         opts.limit = Some(3);
-        engine.run_streamed_resumable(&p, &opts).expect("sampled first leg");
+        engine.run_streamed_resumable_with::<StreamAccumulator>(&p, &opts).expect("sampled first leg");
         let resumed = engine
-            .run_streamed_resumable(&p, &ResumeOptions::resume_from(&path))
+            .run_streamed_resumable_with::<StreamAccumulator>(&p, &ResumeOptions::resume_from(&path))
             .expect("sampled resume");
         std::fs::remove_file(&path).ok();
         assert!(resumed.is_complete());

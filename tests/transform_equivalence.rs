@@ -145,5 +145,5 @@ fn report_exports_are_consistent() {
     assert_eq!(total, faults.len());
 
     let mean = report::mean_classify_latency(faults.as_slice(), &outcomes, 30);
-    assert!(mean >= 0.0 && mean < 30.0, "{mean}");
+    assert!((0.0..30.0).contains(&mean), "{mean}");
 }
