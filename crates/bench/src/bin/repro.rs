@@ -1192,7 +1192,7 @@ fn print_streamed_report(
     println!("  {:<8} {:>8}", "total", summary.total());
     println!("{stats}");
     println!(
-        "kernel switches: {} chunks left deviation space for the tape walk",
+        "kernel switches: {} hand-overs from deviation space to the tape walk",
         stats.kernel_switches
     );
     let golden = engine.grader().golden();

@@ -5,8 +5,9 @@
 //! bottleneck and grades all 34,400 b14 faults in bulk. This crate is the
 //! software analogue of that move for the workspace's own engines — where
 //! [`Grader`](seugrade_faultsim::Grader) runs one fault list on one core,
-//! this runtime shards a campaign into same-cycle batches of up to 63
-//! faults (lane 63 carries the golden companion), dispatches them
+//! this runtime shards a campaign into batches of up to 63 faults
+//! inside one golden span (lane 63 carries the golden companion),
+//! dispatches them
 //! across a home-grown chunk-queue thread pool (`std::thread::scope`,
 //! no external dependencies), and merges the
 //! per-shard verdicts **deterministically**: every thread count produces
@@ -17,7 +18,7 @@
 //! | [`plan`] | [`CampaignPlan`] builder: circuit × test bench × fault source (SEUs or MBUs) × techniques × [`ShardPolicy`] × `TracePolicy` |
 //! | [`runtime`] | [`Engine`]: one chunk driver behind three run methods — materialized [`CampaignRun`], one streamed round, checkpointed [`ResumableRun`] rounds |
 //! | [`stream`] | cycle-major chunk plans for every fault source and online [`VerdictSink`]s — the memory-bounded campaign core |
-//! | [`resume`] | `seugrade-campaign-ckpt/v1` checkpoints, [`Fingerprint`] verification, [`PersistentSink`] — the interruption-safety layer |
+//! | [`resume`] | `seugrade-campaign-ckpt/v2` checkpoints, [`Fingerprint`] verification, [`PersistentSink`] — the interruption-safety layer |
 //! | [`error`] | [`EngineError`]: structured failures (worker panics, checkpoint problems) |
 //! | [`cancel`] | [`CancelToken`]: cooperative chunk-boundary cancellation |
 //! | [`progress`] | per-shard [`ProgressEvent`]s, the [`ProgressHook`] resumable runs call, [`EngineStats`] |

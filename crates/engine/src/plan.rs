@@ -79,7 +79,7 @@ pub enum FaultSource {
 
 /// How a fault list is split across worker threads.
 ///
-/// Shards are batches of up to 63 faults sharing an injection cycle,
+/// Shards are batches of up to 63 faults inside one golden span,
 /// pulled from a shared chunk queue by each worker; the policy only
 /// controls how many workers pull and when sharding is worth it at all.
 /// Outcomes never depend on the policy — the engine merges per-shard

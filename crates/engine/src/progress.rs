@@ -55,16 +55,17 @@ impl fmt::Debug for ProgressHook {
 pub struct EngineStats {
     /// Faults graded.
     pub faults: usize,
-    /// Shards dispatched through the chunk queue: same-cycle chunks of
-    /// at most 63 faults, SEUs or MBUs.
+    /// Shards dispatched through the chunk queue: chunks of at most 63
+    /// faults inside one golden span, SEUs or MBUs.
     pub shards: usize,
     /// Worker threads that actually ran (the policy's request capped at
     /// the shard count — spawning more workers than shards is pointless).
     pub threads: usize,
     /// Wall-clock nanoseconds spent grading (excluding golden-run setup).
     pub wall_ns: u128,
-    /// Chunks that left deviation space for the companion-lane tape
-    /// walk under the `auto` kernel (summed
+    /// Times an `auto` chunk left deviation space for the
+    /// companion-lane tape walk — at most once per stretch of a chunk
+    /// between injection jumps (summed
     /// [`GradeScratch::kernel_switches`](seugrade_faultsim::GradeScratch::kernel_switches)).
     pub kernel_switches: u64,
 }

@@ -176,14 +176,14 @@ impl<A> ResumableRun<A> {
 ///
 /// # Determinism
 ///
-/// Shards are same-cycle batches of up to 63 faults (lane 63 carries
-/// the golden companion) dispatched through a chunk queue; which worker
-/// grades which shard varies run to run, but verdicts depend only on
-/// the fault itself, and the engine merges per-shard results back into
-/// submission order. Every `(fault source, seed)` pair therefore
-/// produces **bit-identical outcomes at every thread count**,
-/// equal to the serial reference engine — a property the cross-engine
-/// agreement suite enforces.
+/// Shards are batches of up to 63 faults inside one golden span (lane
+/// 63 carries the golden companion) dispatched through a chunk queue;
+/// which worker grades which shard varies run to run, but verdicts
+/// depend only on the fault itself, and the engine merges per-shard
+/// results back into submission order. Every `(fault source, seed)`
+/// pair therefore produces **bit-identical outcomes at every thread
+/// count**, equal to the serial reference engine — a property the
+/// cross-engine agreement suite enforces.
 #[derive(Debug)]
 pub struct Engine {
     grader: Grader,
@@ -232,8 +232,7 @@ impl Engine {
     pub fn run(&self, plan: &CampaignPlan<'_>) -> CampaignRun {
         self.check_plan(plan);
         let (faults, outcomes, stats) = if let FaultSource::Multi(list) = plan.source() {
-            let lanes = self.grader.chunk_lanes();
-            let chunks = MultiPlan::new(list, self.grader.testbench().num_cycles(), lanes);
+            let chunks = MultiPlan::new(list, self.grader.span_order(list));
             let (outcomes, stats) = self.materialize(plan, &chunks);
             (None, outcomes, stats)
         } else {
@@ -397,22 +396,28 @@ impl Engine {
         );
     }
 
-    /// Resolves a single-fault source into its cycle-major chunk plan.
-    /// The exhaustive space chunks arithmetically and an explicit list is
-    /// borrowed; a sample is the one source that inherently materializes
-    /// its faults (a uniform draw needs the whole space). MBU sources are
-    /// planned by [`run`](Self::run), the one path that grades them.
+    /// Resolves a single-fault source into its chunk plan. The
+    /// exhaustive space chunks arithmetically, cycle by cycle; an
+    /// explicit list is borrowed and packed span by span by the
+    /// grader's [`span_order`](Grader::span_order); a sample is the one
+    /// source that materializes its faults — only the drawn ones, the
+    /// draw never builds the whole space. MBU sources are planned by
+    /// [`run`](Self::run), the one path that grades them.
     fn chunk_plan<'p>(&self, source: &'p FaultSource) -> ChunkPlan<'p> {
         let num_ffs = self.grader.sim().num_ffs();
         let num_cycles = self.grader.testbench().num_cycles();
-        let lanes = self.grader.chunk_lanes();
+        let ordered = |list: Cow<'p, FaultList>| {
+            let order = self.grader.span_order(list.as_slice());
+            ChunkPlan::Ordered(list, order)
+        };
         match source {
-            FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles, lanes),
-            FaultSource::Sampled { count, seed } => {
-                let sample = FaultList::sampled(num_ffs, num_cycles, *count, *seed);
-                ChunkPlan::ordered(Cow::Owned(sample), num_cycles, lanes)
+            FaultSource::Exhaustive => {
+                ChunkPlan::exhaustive(num_ffs, num_cycles, self.grader.chunk_lanes())
             }
-            FaultSource::List(list) => ChunkPlan::ordered(Cow::Borrowed(list), num_cycles, lanes),
+            FaultSource::Sampled { count, seed } => {
+                ordered(Cow::Owned(FaultList::sampled(num_ffs, num_cycles, *count, *seed)))
+            }
+            FaultSource::List(list) => ordered(Cow::Borrowed(list)),
             FaultSource::Multi(_) => {
                 panic!("streamed execution grades single-fault sources; use run() for MBUs")
             }
@@ -634,7 +639,7 @@ mod tests {
     #[test]
     fn worker_count_is_capped_at_shard_count() {
         let circuit = generators::counter(2);
-        let tb = Testbench::constant_low(0, 4); // 8 faults -> 4 same-cycle shards
+        let tb = Testbench::constant_low(0, 4); // 8 faults -> 4 one-cycle shards
         let plan = CampaignPlan::builder(&circuit, &tb)
             .policy(ShardPolicy::with_threads(8))
             .build();
@@ -695,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn mbu_runs_shard_into_same_cycle_chunks_and_count_kernel_switches() {
+    fn mbu_runs_shard_into_span_packed_chunks_and_count_kernel_switches() {
         let circuit = registry::build("viper").unwrap();
         let tb = Testbench::random(circuit.num_inputs(), 12, 5);
         let faults = MultiFault::adjacent_pairs(circuit.num_ffs(), 12, 2);
@@ -705,9 +710,10 @@ mod tests {
             .threads(2)
             .build();
         let run = plan.execute();
-        // 214 pairs per cycle cut at 63 lanes: 4 chunks per cycle.
-        let per_cycle = (circuit.num_ffs() - 1).div_ceil(63);
-        assert_eq!(run.stats().shards, per_cycle * 12);
+        // 214 pairs per cycle, 4 cycles per golden span, cut at 63
+        // lanes: 14 chunks per span, 3 spans.
+        let per_span = (4 * (circuit.num_ffs() - 1)).div_ceil(63);
+        assert_eq!(run.stats().shards, per_span * 3);
         assert_eq!(run.stats().faults, faults.len());
         assert!(run.stats().kernel_switches > 0, "viper's MBU cones flood under auto");
         assert_eq!(run.outcomes(), Engine::new(&plan).grader().run_multi(&faults).as_slice());

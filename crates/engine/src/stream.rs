@@ -7,10 +7,12 @@
 //!
 //! - `ChunkPlan` and `MultiPlan` (crate-internal) turn every
 //!   [`FaultSource`](crate::FaultSource), MBUs included, into a sequence
-//!   of same-cycle chunks of at most 63 lanes. For the exhaustive source
-//!   the chunks are *computed arithmetically* — no `flip-flops × cycles`
-//!   fault vector ever exists; workers regenerate their chunk from its
-//!   index.
+//!   of chunks of at most 63 lanes inside one golden span. For the
+//!   exhaustive source the chunks are *computed arithmetically*, one
+//!   cycle at a time — no `flip-flops × cycles` fault vector ever
+//!   exists; workers regenerate their chunk from its index. Every other
+//!   source is packed span by span by the one planner,
+//!   [`SpanOrder`].
 //! - [`VerdictSink`] is the online accumulator contract: each worker
 //!   folds `(fault, outcome)` pairs into a private sink, and the
 //!   per-worker sinks are merged after the join. Sinks must be
@@ -26,11 +28,11 @@
 use std::borrow::Cow;
 
 use seugrade_faultsim::{
-    Fault, FaultClass, FaultList, FaultOutcome, GradingSummary, Injection, MultiFault,
+    Fault, FaultClass, FaultList, FaultOutcome, GradingSummary, Injection, MultiFault, SpanOrder,
 };
 use seugrade_netlist::FfIndex;
 
-/// A campaign cut into same-cycle chunks of at most
+/// A campaign cut into one-span chunks of at most
 /// [`Grader::chunk_lanes`](seugrade_faultsim::Grader::chunk_lanes)
 /// lanes, in cycle-major order — what the engine's chunk driver grades.
 ///
@@ -51,7 +53,7 @@ pub(crate) trait Chunks: Sync {
     /// position of a resume cursor.
     fn faults_before(&self, chunk: usize) -> usize;
 
-    /// Writes chunk `i`'s lanes (all sharing one injection cycle) into
+    /// Writes chunk `i`'s lanes (all inside one golden span) into
     /// `buf`.
     fn fill(&self, i: usize, buf: &mut Vec<Self::Lane>);
 
@@ -59,80 +61,10 @@ pub(crate) trait Chunks: Sync {
     fn scatter(&self, i: usize, out: &[FaultOutcome], dest: &mut [FaultOutcome]);
 }
 
-/// A stable counting sort of an explicit fault list by injection cycle,
-/// cut into same-cycle runs of at most `lanes` — the chunking of every
-/// source that is not the arithmetic exhaustive space.
-#[derive(Debug)]
-pub(crate) struct CycleOrder {
-    /// Cycle-major permutation of submission indices.
-    order: Vec<u32>,
-    /// `(lo, hi)` ranges into `order`, one per chunk.
-    batches: Vec<(usize, usize)>,
-}
-
-impl CycleOrder {
-    /// Sorts `faults` by injection cycle (stable) and cuts the runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fault's cycle is `>= num_cycles`, or if `lanes` is 0
-    /// or exceeds the 64-lane word width.
-    pub(crate) fn new<I: Injection>(faults: &[I], num_cycles: usize, lanes: usize) -> Self {
-        assert!((1..=64).contains(&lanes), "chunk lanes out of range");
-        let mut offsets = vec![0usize; num_cycles + 1];
-        for f in faults {
-            assert!((f.cycle() as usize) < num_cycles, "fault cycle out of range");
-            offsets[f.cycle() as usize + 1] += 1;
-        }
-        for c in 0..num_cycles {
-            offsets[c + 1] += offsets[c];
-        }
-        let mut cursor = offsets.clone();
-        let mut order = vec![0u32; faults.len()];
-        for (i, f) in faults.iter().enumerate() {
-            let c = f.cycle() as usize;
-            order[cursor[c]] = i as u32;
-            cursor[c] += 1;
-        }
-        let mut batches: Vec<(usize, usize)> = Vec::new();
-        for c in 0..num_cycles {
-            let (mut start, end) = (offsets[c], offsets[c + 1]);
-            while start < end {
-                let stop = (start + lanes).min(end);
-                batches.push((start, stop));
-                start = stop;
-            }
-        }
-        CycleOrder { order, batches }
-    }
-
-    /// Faults before chunk `chunk`: batches partition the sorted list
-    /// contiguously, so this is the previous batch's end.
-    fn faults_before(&self, chunk: usize) -> usize {
-        match chunk {
-            0 => 0,
-            c if c >= self.batches.len() => self.order.len(),
-            c => self.batches[c - 1].1,
-        }
-    }
-
-    /// Submission indices of chunk `i`'s faults.
-    fn chunk(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let (lo, hi) = self.batches[i];
-        self.order[lo..hi].iter().map(|&fi| fi as usize)
-    }
-
-    fn scatter(&self, i: usize, out: &[FaultOutcome], dest: &mut [FaultOutcome]) {
-        for (fi, &o) in self.chunk(i).zip(out) {
-            dest[fi] = o;
-        }
-    }
-}
-
-/// A single-fault campaign cut into same-cycle chunks, in cycle-major
-/// order. For the exhaustive source the chunks are computed
-/// arithmetically, so campaign memory is independent of the fault-space
-/// size.
+/// A single-fault campaign cut into chunks, in cycle-major order. For
+/// the exhaustive source the chunks are computed arithmetically, one
+/// cycle at a time, so campaign memory is independent of the
+/// fault-space size; an explicit list is packed span by span.
 #[derive(Debug)]
 pub(crate) enum ChunkPlan<'a> {
     /// The full `flip-flops × cycles` space; chunk `i` is derived from
@@ -151,8 +83,8 @@ pub(crate) enum ChunkPlan<'a> {
         faults: usize,
     },
     /// An explicit list (a borrowed list or a drawn sample), in
-    /// submission order, with its cycle-major chunking.
-    Ordered(Cow<'a, FaultList>, CycleOrder),
+    /// submission order, with its span-packed chunking.
+    Ordered(Cow<'a, FaultList>, SpanOrder),
 }
 
 impl<'a> ChunkPlan<'a> {
@@ -175,12 +107,6 @@ impl<'a> ChunkPlan<'a> {
         }
     }
 
-    /// Plans an explicit fault list (see [`CycleOrder::new`]).
-    pub(crate) fn ordered(faults: Cow<'a, FaultList>, num_cycles: usize, lanes: usize) -> Self {
-        let order = CycleOrder::new(faults.as_slice(), num_cycles, lanes);
-        ChunkPlan::Ordered(faults, order)
-    }
-
     /// The planned faults in submission order (the exhaustive space
     /// materialized) — what a materialized run reports alongside its
     /// verdicts.
@@ -198,7 +124,7 @@ impl Chunks for ChunkPlan<'_> {
     fn num_chunks(&self) -> usize {
         match self {
             ChunkPlan::Exhaustive { chunks, .. } => *chunks,
-            ChunkPlan::Ordered(_, order) => order.batches.len(),
+            ChunkPlan::Ordered(_, order) => order.num_chunks(),
         }
     }
 
@@ -253,19 +179,20 @@ impl Chunks for ChunkPlan<'_> {
     }
 }
 
-/// A multi-bit-upset campaign cut into same-cycle chunks: each lane
+/// A multi-bit-upset campaign cut into span-packed chunks: each lane
 /// flips one [`MultiFault`]'s whole flip-flop set.
 #[derive(Debug)]
 pub(crate) struct MultiPlan<'a> {
     /// The MBUs, in submission order.
     faults: &'a [MultiFault],
-    order: CycleOrder,
+    order: SpanOrder,
 }
 
 impl<'a> MultiPlan<'a> {
-    /// Plans an MBU list (see [`CycleOrder::new`]).
-    pub(crate) fn new(faults: &'a [MultiFault], num_cycles: usize, lanes: usize) -> Self {
-        MultiPlan { faults, order: CycleOrder::new(faults, num_cycles, lanes) }
+    /// Plans an MBU list with its chunking (see
+    /// [`Grader::span_order`](seugrade_faultsim::Grader::span_order)).
+    pub(crate) fn new(faults: &'a [MultiFault], order: SpanOrder) -> Self {
+        MultiPlan { faults, order }
     }
 }
 
@@ -273,7 +200,7 @@ impl<'a> Chunks for MultiPlan<'a> {
     type Lane = &'a MultiFault;
 
     fn num_chunks(&self) -> usize {
-        self.order.batches.len()
+        self.order.num_chunks()
     }
 
     fn num_faults(&self) -> usize {
@@ -424,6 +351,11 @@ impl VerdictSink for StreamAccumulator {
 mod tests {
     use super::*;
 
+    /// An explicit-list plan packed into golden spans of `span` cycles.
+    fn ordered(list: &FaultList, num_cycles: usize, span: usize, lanes: usize) -> ChunkPlan<'_> {
+        ChunkPlan::Ordered(Cow::Borrowed(list), SpanOrder::new(list.as_slice(), num_cycles, span, lanes))
+    }
+
     #[test]
     fn exhaustive_plan_covers_the_space_in_cycle_major_order() {
         let plan = ChunkPlan::exhaustive(70, 3, 64);
@@ -463,7 +395,8 @@ mod tests {
     #[test]
     fn ordered_plan_matches_exhaustive_plan_on_the_same_list() {
         let list = FaultList::exhaustive(70, 3);
-        let ordered = ChunkPlan::ordered(Cow::Borrowed(&list), 3, 64);
+        // One-cycle spans are the exhaustive plan's per-cycle cut.
+        let ordered = ordered(&list, 3, 1, 64);
         let arithmetic = ChunkPlan::exhaustive(70, 3, 64);
         assert_eq!(ordered.num_chunks(), arithmetic.num_chunks());
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -481,8 +414,9 @@ mod tests {
             ChunkPlan::exhaustive(70, 3, 64),
             ChunkPlan::exhaustive(70, 3, 63),
             ChunkPlan::exhaustive(64, 4, 63),
-            ChunkPlan::ordered(Cow::Borrowed(&list), 9, 64),
-            ChunkPlan::ordered(Cow::Borrowed(&list), 9, 63),
+            ordered(&list, 9, 1, 64),
+            ordered(&list, 9, 4, 63),
+            ordered(&list, 9, 64, 63),
         ];
         for plan in &plans {
             let mut buf = Vec::new();
@@ -500,7 +434,7 @@ mod tests {
     #[test]
     fn scatter_inverts_fill() {
         let list = FaultList::sampled(10, 9, 40, 3);
-        let plan = ChunkPlan::ordered(Cow::Borrowed(&list), 9, 64);
+        let plan = ordered(&list, 9, 4, 64);
         let mut buf = Vec::new();
         let mut dest = vec![FaultOutcome::latent(); list.len()];
         for i in 0..plan.num_chunks() {

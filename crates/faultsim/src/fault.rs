@@ -1,5 +1,6 @@
 //! The SEU fault descriptor and fault lists.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use seugrade_netlist::FfIndex;
@@ -89,20 +90,29 @@ impl FaultList {
     /// exhaustive size the full list is returned.
     #[must_use]
     pub fn sampled(num_ffs: usize, num_cycles: usize, count: usize, seed: u64) -> Self {
-        let mut full = Self::exhaustive(num_ffs, num_cycles);
-        if count >= full.faults.len() {
-            return full;
+        let n = num_ffs * num_cycles;
+        if count >= n {
+            return Self::exhaustive(num_ffs, num_cycles);
         }
         let mut rng = SplitMix64::new(seed);
-        // Partial Fisher-Yates: draw `count` distinct elements to the front.
-        let n = full.faults.len();
+        // Partial Fisher-Yates over the exhaustive list, drawing `count`
+        // distinct elements to the front. The list stays virtual: only
+        // positions a swap displaced are stored, so a draw costs
+        // O(count) time and memory, not the whole fault space.
+        let mut displaced: HashMap<usize, usize> = HashMap::with_capacity(count);
+        let mut faults = Vec::with_capacity(count);
         for i in 0..count {
             let j = i + rng.index(n - i);
-            full.faults.swap(i, j);
+            let at_j = displaced.get(&j).copied().unwrap_or(j);
+            let at_i = displaced.remove(&i).unwrap_or(i);
+            if j != i {
+                displaced.insert(j, at_i);
+            }
+            // Exhaustive position `at_j` is cycle-major.
+            faults.push(Fault::new(FfIndex::new(at_j % num_ffs), (at_j / num_ffs) as u32));
         }
-        full.faults.truncate(count);
-        full.faults.sort();
-        FaultList { faults: full.faults, num_ffs, num_cycles }
+        faults.sort();
+        FaultList { faults, num_ffs, num_cycles }
     }
 
     /// Restricts an exhaustive list to one flip-flop (all cycles) — used
@@ -228,6 +238,34 @@ mod tests {
         let full: std::collections::HashSet<Fault> =
             FaultList::exhaustive(10, 10).iter().collect();
         assert!(set.is_subset(&full));
+    }
+
+    /// The materialized partial Fisher-Yates the virtual draw replaces.
+    fn materialized_sample(ffs: usize, cycles: usize, count: usize, seed: u64) -> Vec<Fault> {
+        let mut full = FaultList::exhaustive(ffs, cycles).faults;
+        let mut rng = SplitMix64::new(seed);
+        let n = full.len();
+        for i in 0..count {
+            let j = i + rng.index(n - i);
+            full.swap(i, j);
+        }
+        full.truncate(count);
+        full.sort();
+        full
+    }
+
+    #[test]
+    fn virtual_draw_matches_the_materialized_shuffle() {
+        let shapes = [(10, 10, 25), (1, 50, 49), (64, 3, 1), (37, 41, 700), (215, 160, 8192)];
+        for (ffs, cycles, count) in shapes {
+            for seed in [0, 1, 7, 0xdead_beef] {
+                assert_eq!(
+                    FaultList::sampled(ffs, cycles, count, seed).as_slice(),
+                    materialized_sample(ffs, cycles, count, seed),
+                    "{ffs} ffs x {cycles} cycles, {count} faults, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use seugrade_sim::{
     TracePolicy, TraceWindow,
 };
 
-use crate::{Fault, FaultClass, FaultOutcome, Injection};
+use crate::{Fault, FaultClass, FaultOutcome, Injection, SpanOrder};
 
 /// Default [`BitCache`] capacity (in spans) for grading scratch
 /// state: enough that a worker walking a cycle-major plan keeps its
@@ -89,6 +89,7 @@ pub struct GradeScratch {
     st: SimState,
     collapse: Collapse,
     sim_steps: u64,
+    cone_gates: u64,
     kernel: Kernel,
     diff: DiffScratch,
     bits: BitCache,
@@ -128,9 +129,18 @@ impl GradeScratch {
         self.sim_steps
     }
 
-    /// Chunks graded through this scratch whose deviation cone flooded
-    /// the netlist: [`Kernel::Auto`] chunks that left deviation space
-    /// mid-walk and finished on the companion-lane tape walk.
+    /// Gates evaluated by deviation-cone walks through this scratch,
+    /// summed over walked cycles — against
+    /// `num_instrs × sim_steps` it is the activity the differential
+    /// walk actually paid for.
+    #[must_use]
+    pub fn cone_gates(&self) -> u64 {
+        self.cone_gates
+    }
+
+    /// Times a [`Kernel::Auto`] chunk graded through this scratch left
+    /// deviation space because its cone flooded the netlist, and went on
+    /// as a companion-lane tape walk.
     #[must_use]
     pub fn kernel_switches(&self) -> u64 {
         self.kernel_switches
@@ -312,43 +322,59 @@ impl Grader {
     // Bit-parallel engine (63 faults + the golden companion per pass)
     // ------------------------------------------------------------------
 
-    /// Grades a fault list with the bit-parallel engine: faults sharing an
-    /// injection cycle are packed [`chunk_lanes`](Self::chunk_lanes) to a
-    /// simulation pass. Outcomes are returned in the order of `faults`.
+    /// Grades a fault list with the bit-parallel engine: the faults are
+    /// cut by [`span_order`](Self::span_order) into chunks of up to
+    /// [`chunk_lanes`](Self::chunk_lanes) faults inside one golden span,
+    /// one simulation pass each. Outcomes are returned in the order of
+    /// `faults`.
     #[must_use]
     pub fn run_parallel(&self, faults: &[Fault]) -> Vec<FaultOutcome> {
         let mut scratch = self.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
+        let order = self.span_order(faults);
         let mut outcomes = vec![FaultOutcome::latent(); faults.len()];
-        // Cycle-major submission indices; the sort is stable, so order
-        // inside a cycle is kept.
-        let mut order: Vec<usize> = (0..faults.len()).collect();
-        order.sort_by_key(|&i| faults[i].cycle);
         let mut buf = Vec::with_capacity(self.chunk_lanes());
         let mut out = [FaultOutcome::latent(); 63];
-        let mut rest = &order[..];
-        while let Some(&first) = rest.first() {
-            // The next same-cycle run, cut at the lane budget.
-            let t = faults[first].cycle;
-            let lanes = rest.iter().take(self.chunk_lanes());
-            let (chunk, tail) = rest.split_at(lanes.take_while(|&&i| faults[i].cycle == t).count());
+        for i in 0..order.num_chunks() {
             buf.clear();
-            buf.extend(chunk.iter().map(|&i| faults[i]));
-            self.grade_chunk(&mut scratch, &buf, &mut out[..chunk.len()]);
-            for (&i, &o) in chunk.iter().zip(&out) {
-                outcomes[i] = o;
-            }
-            rest = tail;
+            buf.extend(order.chunk(i).map(|fi| faults[fi]));
+            let out = &mut out[..buf.len()];
+            self.grade_chunk(&mut scratch, &buf, out);
+            order.scatter(i, out, &mut outcomes);
         }
         outcomes
     }
 
-    /// The lane budget a same-cycle chunk is cut to: 63 under every
+    /// The lane budget a chunk is cut to: 63 under every
     /// [`TracePolicy`]. Lane 63 is reserved for the golden companion
     /// machine, which rides the same bit-parallel pass as the faulty
     /// lanes (see [`grade_chunk`](Self::grade_chunk)).
     #[must_use]
     pub fn chunk_lanes(&self) -> usize {
         63
+    }
+
+    /// Cycles per golden span — the unit a chunk's injection cycles must
+    /// share: `K` under `Checkpoint(K)`, 64 under `Dense` (bounding span
+    /// memory the same way checkpoints do). Spans are aligned to
+    /// multiples of this length.
+    #[must_use]
+    pub fn span_len(&self) -> usize {
+        match self.policy {
+            TracePolicy::Dense => 64,
+            TracePolicy::Checkpoint(k) => k,
+        }
+    }
+
+    /// Plans `faults` into chunks for [`grade_chunk`](Self::grade_chunk):
+    /// [`chunk_lanes`](Self::chunk_lanes) faults at most, all inside
+    /// one [`span_len`](Self::span_len)-aligned golden span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault's cycle is outside the test bench.
+    #[must_use]
+    pub fn span_order<I: Injection>(&self, faults: &[I]) -> SpanOrder {
+        SpanOrder::new(faults, self.tb.num_cycles(), self.span_len(), self.chunk_lanes())
     }
 
     /// Builds a per-worker [`GradeScratch`] with the given collapse mode
@@ -369,6 +395,7 @@ impl Grader {
             st: self.sim.new_state(),
             collapse,
             sim_steps: 0,
+            cone_gates: 0,
             kernel: Kernel::Auto,
             diff: self.sim.new_diff_scratch(),
             bits,
@@ -376,39 +403,51 @@ impl Grader {
         }
     }
 
-    /// Grades up to 63 faults sharing one injection cycle in a single
-    /// bit-parallel pass, writing the verdicts into `out` (parallel to
-    /// `chunk`). A lane is an [`Injection`]: every flip-flop in its set
-    /// is flipped in that lane — one for an SEU, several for an MBU.
+    /// Grades up to 63 faults whose injection cycles share one golden
+    /// span in a single bit-parallel pass, writing the verdicts into
+    /// `out` (parallel to `chunk`). A lane is an [`Injection`]: every
+    /// flip-flop in its set is flipped in that lane — one for an SEU,
+    /// several for an MBU.
     ///
     /// This is the shard-sized building block the batching engines are
-    /// made of: a runtime can cut any fault list into same-cycle chunks
-    /// and grade each on whichever thread with whichever scratch, and
-    /// the verdicts stay identical to the serial engine's — they depend
-    /// only on the fault, never on lane placement, chunk composition,
-    /// kernel or collapse mode.
+    /// made of: a runtime can cut any fault list into one-span chunks
+    /// (see [`span_order`](Self::span_order)) and grade each on
+    /// whichever thread with whichever scratch, and the verdicts stay
+    /// identical to the serial engine's — they depend only on the
+    /// fault, never on lane placement, chunk composition, kernel or
+    /// collapse mode.
     ///
-    /// Every chunk takes one walk. Its flips are seeded as deviations
-    /// and it walks differential cycles — only the deviation cone is
-    /// evaluated, against golden [`BitSpan`]s from the scratch's cache —
-    /// until its kernel's switch point. There it leaves deviation space
-    /// and a companion walk finishes it on the tape, with lane 63 as the
-    /// golden machine:
+    /// The walk starts at the chunk's earliest injection cycle. A lane
+    /// is *pending* until the walk reaches its own cycle: it equals the
+    /// golden machine, costs nothing and can never be claimed. It is
+    /// seeded at its cycle and is *live* until its first event decides
+    /// it; under [`Collapse::Early`] a decided lane is *retired* — its
+    /// bits are masked out of every deviation word, so a failed lane
+    /// stops feeding the cone. When no lane is live and some are
+    /// pending, the walk jumps straight to the next injection.
     ///
-    /// - [`Kernel::Tape`] switches at the injection cycle;
-    /// - [`Kernel::Auto`] switches after the first cycle whose cone
-    ///   drains more than `1 / FLOODED_CONE_DIVISOR` of the netlist's
-    ///   gates (counted by [`GradeScratch::kernel_switches`]);
+    /// Lanes are seeded as deviations, and the walk evaluates only the
+    /// deviation cone, against golden [`BitSpan`]s from the scratch's
+    /// cache, until its kernel's switch point. There it leaves
+    /// deviation space and a companion walk continues on the tape, with
+    /// lane 63 as the golden machine and later lanes seeded by a
+    /// flip-flop flip:
+    ///
+    /// - [`Kernel::Tape`] switches at once;
+    /// - [`Kernel::Auto`] switches after a cycle whose cone drains more
+    ///   than `1 / FLOODED_CONE_DIVISOR` of the netlist's gates without
+    ///   retiring a lane (counted by [`GradeScratch::kernel_switches`]);
     /// - [`Kernel::Differential`] never switches.
     ///
-    /// Failures are claimed before same-cycle silences, each lane
-    /// records its first event only, and the scratch's `sim_steps`
-    /// counts one per walked cycle on either side of the switch.
+    /// A jump returns to deviation space. Failures are claimed before
+    /// same-cycle silences, each lane records its first event only, and
+    /// the scratch's `sim_steps` counts one per walked cycle on either
+    /// side of the switch.
     ///
     /// # Panics
     ///
     /// Panics if `chunk` is empty, holds more than 63 faults, mixes
-    /// injection cycles, targets an out-of-range cycle, or if `out` has a
+    /// golden spans, targets an out-of-range cycle, or if `out` has a
     /// different length than `chunk`.
     pub fn grade_chunk<I: Injection>(
         &self,
@@ -416,130 +455,165 @@ impl Grader {
         chunk: &[I],
         out: &mut [FaultOutcome],
     ) {
-        let GradeScratch { st, collapse, sim_steps, kernel, diff: sc, bits, kernel_switches } =
-            scratch;
-        let (t, mut undecided) = self.validate_chunk(chunk, out);
+        let GradeScratch {
+            st, collapse, sim_steps, cone_gates, kernel, diff: sc, bits, kernel_switches,
+        } = scratch;
+        let mut schedule = [(0u32, 0u32); 63];
+        let schedule = self.validate_chunk(chunk, out, &mut schedule);
         let n_cycles = self.tb.num_cycles();
+        let early = *collapse == Collapse::Early;
         let flood_limit = match kernel {
             Kernel::Auto => self.sim.num_instrs() / FLOODED_CONE_DIVISOR,
             Kernel::Tape | Kernel::Differential => usize::MAX,
         };
-        for (lane, f) in chunk.iter().enumerate() {
-            for &ff in f.ffs() {
-                self.sim.diff_seed(sc, ff, lane as u32);
-            }
-        }
-        let mut span = self.bit_span_for(t, bits);
+        // Lanes `schedule[next..]` are pending; `undecided` holds the
+        // live ones.
+        let mut undecided = 0u64;
+        let mut next = 0usize;
+        let mut u = schedule[0].0 as usize;
+        let mut span = self.bit_span_for(u, bits);
         let mut switch = *kernel == Kernel::Tape;
-        for u in t..n_cycles {
-            if u >= span.end() {
+        let mut tape = false;
+        while u < n_cycles {
+            // The companion walk reads no golden spans.
+            if !tape && u >= span.end() {
                 span = self.bit_span_for(u, bits);
             }
-            if switch {
+            if !tape && switch {
                 self.sim.diff_materialize(sc, &span, u, st);
                 *kernel_switches += u64::from(*kernel == Kernel::Auto);
-                self.companion_walk(st, *collapse, sim_steps, out, undecided, u);
-                return;
+                tape = true;
             }
-            let (out_diff, state_diff) = self.sim.diff_cycle(sc, &span, u);
+            // Seed the lanes injected at `u`: pending -> live.
+            while let Some(&(c, lane)) = schedule.get(next) {
+                if c as usize != u {
+                    break;
+                }
+                for &ff in chunk[lane as usize].ffs() {
+                    if tape {
+                        self.sim.flip_ff_lane(st, ff, lane);
+                    } else {
+                        self.sim.diff_seed(sc, ff, lane);
+                    }
+                }
+                undecided |= 1u64 << lane;
+                next += 1;
+            }
+            let (out_diff, state_diff) = if tape {
+                self.companion_cycle(st, u, undecided, early)
+            } else {
+                let diffs = self.sim.diff_cycle(sc, &span, u);
+                *cone_gates += sc.cone_gates() as u64;
+                diffs
+            };
             *sim_steps += 1;
+            let failed = out_diff & undecided;
             undecided = claim(out, undecided, out_diff, FaultOutcome::failure(u as u32));
             undecided = claim(out, undecided, !state_diff, FaultOutcome::silent(u as u32));
-            if undecided == 0 && *collapse == Collapse::Early {
-                break;
+            // A silent lane has no deviation left; a failed one is
+            // masked out so it stops feeding the cone.
+            let retired = if early && !tape { failed } else { 0 };
+            if retired != 0 {
+                sc.retire(retired);
             }
-            switch = sc.cone_gates() > flood_limit;
+            if early && undecided == 0 {
+                // Nothing live: jump to the next injection, back in
+                // deviation space, or end the chunk.
+                let Some(&(c, _)) = schedule.get(next) else { break };
+                debug_assert!(tape || sc.active_signals() == 0, "decided lanes left deviations");
+                u = c as usize;
+                tape = false;
+                switch = *kernel == Kernel::Tape;
+                continue;
+            }
+            if !tape {
+                switch = retired == 0 && sc.cone_gates() > flood_limit;
+            }
+            u += 1;
         }
-        self.sim.diff_reset(sc);
+        debug_assert_eq!(next, chunk.len(), "a pending lane was never seeded");
+        if !tape {
+            self.sim.diff_reset(sc);
+        }
     }
 
-    /// Validates a same-cycle chunk, resets `out` to latent, and returns
-    /// the shared injection cycle plus the used-lane mask.
-    fn validate_chunk<I: Injection>(&self, chunk: &[I], out: &mut [FaultOutcome]) -> (usize, u64) {
+    /// Validates a one-span chunk, resets `out` to latent, and writes
+    /// the chunk's injection schedule — `(cycle, lane)` in walk order —
+    /// into `schedule`, returning the used prefix.
+    fn validate_chunk<'s, I: Injection>(
+        &self,
+        chunk: &[I],
+        out: &mut [FaultOutcome],
+        schedule: &'s mut [(u32, u32); 63],
+    ) -> &'s [(u32, u32)] {
         assert!(!chunk.is_empty(), "empty chunk");
         assert!(
             chunk.len() <= self.chunk_lanes(),
             "a chunk holds at most 63 faults: lane 63 is the golden companion"
         );
         assert_eq!(chunk.len(), out.len(), "outcome slice width");
-        let t = chunk[0].cycle() as usize;
-        assert!(
-            chunk.iter().all(|f| f.cycle() as usize == t),
-            "chunk mixes injection cycles"
-        );
-        assert!(t < self.tb.num_cycles(), "fault cycle out of range");
+        let span_len = self.span_len();
+        let span = chunk[0].cycle() as usize / span_len;
+        for (lane, f) in chunk.iter().enumerate() {
+            assert!((f.cycle() as usize) < self.tb.num_cycles(), "fault cycle out of range");
+            assert!(f.cycle() as usize / span_len == span, "chunk mixes golden spans");
+            schedule[lane] = (f.cycle(), lane as u32);
+        }
         for o in out.iter_mut() {
             *o = FaultOutcome::latent();
         }
-        (t, (1u64 << chunk.len()) - 1)
+        let schedule = &mut schedule[..chunk.len()];
+        schedule.sort_unstable();
+        schedule
     }
 
-    /// The golden-companion walk over cycles `from..`: lane 63 of `st`
-    /// holds the golden state at `from` like every other lane but never
-    /// carries a fault, so it *is* the golden machine, advanced for free
-    /// by the same bit-parallel pass. Per-cycle comparison then reduces
-    /// to XOR-ing each signal word against its own lane 63 broadcast (an
-    /// arithmetic shift) — no stored golden values, however far a latent
-    /// tail walks.
+    /// One cycle of the golden-companion walk: lane 63 of `st` holds
+    /// the golden state like every never-seeded lane but never carries
+    /// a fault, so it *is* the golden machine, advanced for free by the
+    /// same bit-parallel pass. Comparison then reduces to XOR-ing each
+    /// signal word against its own lane 63 broadcast (an arithmetic
+    /// shift) — no stored golden values, however far a latent tail
+    /// walks.
     ///
-    /// Every chunk that reaches its kernel's switch point resumes here
-    /// from deviation space; only the `undecided` lanes are still
-    /// graded. Verdicts are bit-identical to the serial reference: the
-    /// compiled simulator is deterministic per lane, so lane 63 carries
-    /// exactly the golden bits, and `undecided` never holds lane 63.
-    fn companion_walk(
-        &self,
-        st: &mut SimState,
-        collapse: Collapse,
-        sim_steps: &mut u64,
-        out: &mut [FaultOutcome],
-        mut undecided: u64,
-        from: usize,
-    ) {
-        debug_assert_eq!(undecided >> 63, 0, "lane 63 is the golden companion");
-        let n_cycles = self.tb.num_cycles();
-        let num_ffs = self.sim.num_ffs();
+    /// Returns `(out_diff, state_diff)` like
+    /// [`diff_cycle`](CompiledSim::diff_cycle), exact for the `live`
+    /// lanes. Under early collapse a cycle whose every live lane fails
+    /// skips the step, and the register scan stops once every live lane
+    /// has diverged: no lane can go silent this cycle, so long latent
+    /// tails break within a handful of words. Verdicts are bit-identical
+    /// to the serial reference: the compiled simulator is deterministic
+    /// per lane, so lane 63 carries exactly the golden bits, and `live`
+    /// never holds lane 63.
+    fn companion_cycle(&self, st: &mut SimState, u: usize, live: u64, early: bool) -> (u64, u64) {
+        debug_assert_eq!(live >> 63, 0, "lane 63 is the golden companion");
         // Broadcast of a word's golden (lane 63) bit to all 64 lanes.
         let golden = |word: u64| ((word as i64) >> 63) as u64;
-        for u in from..n_cycles {
-            self.sim.set_inputs(st, self.tb.cycle(u));
-            self.sim.eval(st);
-            *sim_steps += 1;
-            let mut out_diff = 0u64;
-            for word in self.sim.outputs_raw(st) {
-                out_diff |= word ^ golden(word);
-            }
-            undecided = claim(out, undecided, out_diff, FaultOutcome::failure(u as u32));
-            if undecided == 0 && collapse == Collapse::Early {
-                return;
-            }
-            self.sim.step(st);
-            // Stop scanning the register file once every undecided lane
-            // has diverged: no lane can go silent this cycle, so long
-            // latent tails break within a handful of words.
-            let mut state_diff = 0u64;
-            for ff in 0..num_ffs {
-                let word = self.sim.ff_raw(st, seugrade_netlist::FfIndex::new(ff));
-                state_diff |= word ^ golden(word);
-                if state_diff & undecided == undecided {
-                    break;
-                }
-            }
-            undecided = claim(out, undecided, !state_diff, FaultOutcome::silent(u as u32));
-            if undecided == 0 && collapse == Collapse::Early {
-                return;
+        self.sim.set_inputs(st, self.tb.cycle(u));
+        self.sim.eval(st);
+        let mut out_diff = 0u64;
+        for word in self.sim.outputs_raw(st) {
+            out_diff |= word ^ golden(word);
+        }
+        let live = live & !out_diff;
+        if early && live == 0 {
+            return (out_diff, 0);
+        }
+        self.sim.step(st);
+        let mut state_diff = 0u64;
+        for ff in 0..self.sim.num_ffs() {
+            let word = self.sim.ff_raw(st, seugrade_netlist::FfIndex::new(ff));
+            state_diff |= word ^ golden(word);
+            if state_diff & live == live {
+                break;
             }
         }
+        (out_diff, state_diff)
     }
 
-    /// The golden bit span covering cycle `t`: the checkpoint-aligned
-    /// `K`-cycle span under `Checkpoint(K)`, a 64-cycle-aligned span
-    /// under `Dense` (bounding span memory the same way checkpoints do).
+    /// The golden bit span covering cycle `t`: the
+    /// [`span_len`](Self::span_len)-aligned span containing it.
     fn bit_span_for(&self, t: usize, bits: &mut BitCache) -> Arc<BitSpan> {
-        let (start, end) = match self.policy {
-            TracePolicy::Dense => self.aligned_span(t, 64),
-            TracePolicy::Checkpoint(k) => self.aligned_span(t, k),
-        };
+        let (start, end) = self.aligned_span(t, self.span_len());
         self.golden.bit_span_cached(&self.sim, &self.tb, start, end, bits)
     }
 
@@ -758,14 +832,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mixes injection cycles")]
-    fn mixed_cycle_chunk_rejected() {
+    #[should_panic(expected = "chunk mixes golden spans")]
+    fn mixed_span_chunk_rejected() {
+        use seugrade_sim::TracePolicy;
         let n = generators::counter(2);
-        let tb = Testbench::constant_low(0, 4);
-        let g = Grader::new(&n, &tb);
+        let tb = Testbench::constant_low(0, 8);
+        let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(4));
         let mut scratch = g.new_scratch(Collapse::Early, 0);
-        let chunk = [Fault::new(FfIndex::new(0), 0), Fault::new(FfIndex::new(1), 1)];
         let mut out = [FaultOutcome::latent(); 2];
+        // Cycles 0 and 3 share span 0..4: one chunk.
+        let chunk = [Fault::new(FfIndex::new(0), 0), Fault::new(FfIndex::new(1), 3)];
+        g.grade_chunk(&mut scratch, &chunk, &mut out);
+        assert_eq!(out, [g.classify_serial(chunk[0]), g.classify_serial(chunk[1])]);
+        // Cycles 3 and 4 straddle the span boundary.
+        let chunk = [Fault::new(FfIndex::new(0), 3), Fault::new(FfIndex::new(1), 4)];
         g.grade_chunk(&mut scratch, &chunk, &mut out);
     }
 
@@ -995,6 +1075,13 @@ mod tests {
     /// by an input: a flip of an early flip-flop floods the XOR chain
     /// the cycle it is injected, yet cannot fail before the next cycle.
     fn flood_chain(n: usize) -> Netlist {
+        flood_chain_with_latch(n, false)
+    }
+
+    /// [`flood_chain`], plus with `latch` an unobserved self-loop
+    /// flip-flop (index `n`): a flip of it is latent forever and has an
+    /// empty cone.
+    fn flood_chain_with_latch(n: usize, latch: bool) -> Netlist {
         let mut b = NetlistBuilder::new("flood");
         let en = b.input("en");
         let qs: Vec<_> = (0..n).map(|i| b.dff(i % 3 == 0)).collect();
@@ -1006,6 +1093,10 @@ mod tests {
         }
         for (&q, &d) in qs.iter().zip(&next) {
             b.connect_dff(q, d).unwrap();
+        }
+        if latch {
+            let z = b.dff(false);
+            b.connect_dff(z, z).unwrap();
         }
         let y = b.and2(qs[n - 1], en);
         b.output("y", y);
@@ -1130,6 +1221,141 @@ mod tests {
             "{} of {chunks} chunks switched",
             auto.kernel_switches()
         );
+    }
+
+    #[test]
+    fn packed_span_chunks_match_serial_under_every_kernel() {
+        use seugrade_sim::TracePolicy;
+        use crate::MultiFault;
+        for name in ["b03s", "b06s"] {
+            let n = seugrade_circuits::registry::build(name).unwrap();
+            let cycles = 25;
+            let tb = Testbench::random(n.num_inputs(), cycles, 41);
+            let seus = FaultList::sampled(n.num_ffs(), cycles, 150, 9);
+            let mbus: Vec<MultiFault> =
+                MultiFault::adjacent_pairs(n.num_ffs(), cycles, 2).into_iter().step_by(3).collect();
+            for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(4)] {
+                let g = Grader::with_policy(&n, &tb, policy);
+                let seu_reference = g.run_serial(seus.as_slice());
+                let mbu_reference = g.run_multi(&mbus);
+                for collapse in [Collapse::Early, Collapse::Horizon] {
+                    let mut steps = Vec::new();
+                    for kernel in Kernel::ALL {
+                        let mut scratch = g.new_scratch(collapse, 4).with_kernel(kernel);
+                        let label = format!("{name} {policy} {kernel} collapse {}", collapse.label());
+                        let got = grade_packed(&g, &mut scratch, seus.as_slice());
+                        assert_eq!(got, seu_reference, "SEU {label}");
+                        let got = grade_packed(&g, &mut scratch, &mbus);
+                        assert_eq!(got, mbu_reference, "MBU {label}");
+                        steps.push(scratch.sim_steps());
+                    }
+                    assert!(
+                        steps.windows(2).all(|w| w[0] == w[1]),
+                        "{name} {policy} collapse {}: kernels walked {steps:?} cycles",
+                        collapse.label()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Grades `faults` through [`Grader::span_order`]'s one-span chunks,
+    /// asserting some chunk holds several injection cycles.
+    fn grade_packed<I: Injection>(g: &Grader, scratch: &mut GradeScratch, faults: &[I]) -> Vec<FaultOutcome> {
+        let order = g.span_order(faults);
+        let mut outcomes = vec![FaultOutcome::latent(); faults.len()];
+        let mut out = [FaultOutcome::latent(); 63];
+        let mut multi_cycle = false;
+        for i in 0..order.num_chunks() {
+            let chunk: Vec<&I> = order.chunk(i).map(|fi| &faults[fi]).collect();
+            multi_cycle |= chunk.iter().any(|f| f.cycle() != chunk[0].cycle());
+            let out = &mut out[..chunk.len()];
+            g.grade_chunk(scratch, &chunk, out);
+            order.scatter(i, out, &mut outcomes);
+        }
+        assert!(multi_cycle, "some chunk packs several injection cycles");
+        outcomes
+    }
+
+    #[test]
+    fn pending_lane_is_never_claimed_before_its_cycle() {
+        // `q <= a`, unobserved: a flip of q is overwritten (silent) at
+        // its own cycle. `z <= z`, unobserved: a flip of z is latent.
+        let mut b = NetlistBuilder::new("pending");
+        let a = b.input("a");
+        let q = b.dff(false);
+        b.connect_dff(q, a).unwrap();
+        let z = b.dff(false);
+        b.connect_dff(z, z).unwrap();
+        b.output("y", a);
+        let n = b.finish().unwrap();
+        let tb = Testbench::random(1, 16, 5);
+        let g = Grader::new(&n, &tb);
+        let (q, z) = (FfIndex::new(0), FfIndex::new(1));
+        for kernel in Kernel::ALL {
+            for collapse in [Collapse::Early, Collapse::Horizon] {
+                let label = format!("{kernel} collapse {}", collapse.label());
+                let mut scratch = g.new_scratch(collapse, 4).with_kernel(kernel);
+                let mut out = [FaultOutcome::latent(); 2];
+                // The cycle-5 lane equals golden until cycle 5 — it would
+                // read as silent at cycle 1 if it were live — whether it
+                // goes silent or stays latent once seeded. Either lane
+                // order.
+                for chunk in [
+                    [Fault::new(z, 1), Fault::new(q, 5)],
+                    [Fault::new(q, 5), Fault::new(z, 1)],
+                    [Fault::new(q, 1), Fault::new(z, 5)],
+                ] {
+                    g.grade_chunk(&mut scratch, &chunk, &mut out);
+                    for (f, o) in chunk.iter().zip(&out) {
+                        assert_eq!(*o, g.classify_serial(*f), "{f} {label}");
+                    }
+                }
+                assert_eq!(g.classify_serial(Fault::new(q, 5)), FaultOutcome::silent(5));
+                // Both lanes silent at their own cycles: under early
+                // collapse the walk jumps from cycle 1 straight to 5.
+                let chunk = [Fault::new(q, 1), Fault::new(q, 5)];
+                let before = scratch.sim_steps();
+                g.grade_chunk(&mut scratch, &chunk, &mut out);
+                assert_eq!(out, [FaultOutcome::silent(1), FaultOutcome::silent(5)], "{label}");
+                let walked = scratch.sim_steps() - before;
+                let expected = match collapse {
+                    Collapse::Early => 2,
+                    Collapse::Horizon => 16 - 1,
+                };
+                assert_eq!(walked, expected, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn retire_shrinks_the_cone_after_a_flooding_lane_fails() {
+        let n = flood_chain_with_latch(40, true);
+        let tb = Testbench::new((0..32).map(|t| vec![t % 4 == 3]).collect());
+        let g = Grader::new(&n, &tb);
+        let flood = Fault::new(FfIndex::new(0), 2);
+        let latch = Fault::new(FfIndex::new(40), 2);
+        assert_eq!(g.classify_serial(flood), FaultOutcome::failure(3));
+        assert_eq!(g.classify_serial(latch), FaultOutcome::latent());
+        let cone = |collapse, chunk: &[Fault]| {
+            let mut scratch = g.new_scratch(collapse, 4).with_kernel(Kernel::Differential);
+            let mut out = vec![FaultOutcome::latent(); chunk.len()];
+            g.grade_chunk(&mut scratch, chunk, &mut out);
+            for (f, o) in chunk.iter().zip(&out) {
+                assert_eq!(*o, g.classify_serial(*f), "{f}");
+            }
+            (scratch.cone_gates(), scratch.sim_steps())
+        };
+        let (solo, solo_steps) = cone(Collapse::Early, &[flood]);
+        assert_eq!(solo_steps, 2, "the flooding lane fails on its second cycle");
+        // The latent lane walks to the horizon with an empty cone: once
+        // the flooding lane fails and retires, nothing is evaluated.
+        let (pair, pair_steps) = cone(Collapse::Early, &[flood, latch]);
+        assert_eq!(pair_steps, 32 - 2);
+        assert_eq!(pair, solo, "a failed lane stops feeding the cone");
+        // Without collapse nothing retires: the flood persists.
+        let (horizon, _) = cone(Collapse::Horizon, &[flood, latch]);
+        assert!(horizon > 4 * solo, "horizon {horizon} vs retired {solo}");
     }
 
     #[test]

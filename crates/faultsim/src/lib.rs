@@ -32,9 +32,11 @@
 //! at a time — the readable reference) and bit-parallel (63 faulty
 //! machines plus the golden companion in lane 63 per simulation pass).
 //! [`Grader::grade_chunk`] exposes the shard-sized building block (one
-//! same-cycle chunk of up to 63 faults, graded through a per-worker
-//! [`GradeScratch`]) that the `seugrade-engine` campaign runtime
-//! schedules across worker threads, and [`sampling::pool_summaries`]
+//! chunk of up to 63 faults inside one golden span, graded through a
+//! per-worker [`GradeScratch`]) that the `seugrade-engine` campaign
+//! runtime schedules across worker threads, [`SpanOrder`] is the one
+//! planner that cuts fault lists into such chunks, and
+//! [`sampling::pool_summaries`]
 //! is that runtime's order-independent merge step;
 //! [`FaultList::split_into`] and [`FaultList::chunks`] give callers
 //! borrowed shard views so sharding never has to clone fault vectors.
@@ -61,6 +63,7 @@
 mod fault;
 mod grader;
 pub mod multi;
+mod order;
 mod outcome;
 pub mod report;
 pub mod sampling;
@@ -68,4 +71,5 @@ pub mod sampling;
 pub use fault::{Fault, FaultList, Injection};
 pub use grader::{Collapse, GradeScratch, Grader, DEFAULT_WINDOW_CACHE_SPANS};
 pub use multi::MultiFault;
+pub use order::SpanOrder;
 pub use outcome::{FaultClass, FaultOutcome, GradingSummary};

@@ -1,8 +1,8 @@
-//! One campaign job: validated spec, owned circuit and test bench,
-//! live status, cancellation, and its event subscribers.
+//! One campaign job: validated spec, releasable circuit and test
+//! bench, live status, cancellation, and its event subscribers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 use seugrade_circuits::registry;
 use seugrade_engine::{CampaignPlan, CancelToken, ShardPolicy};
@@ -73,36 +73,26 @@ pub struct JobStatus {
     pub wall_ns: u128,
 }
 
-/// One job held by the scheduler: immutable identity plus live state.
+/// What a job grades: the circuit its spec names and the seeded test
+/// bench derived from the spec.
 #[derive(Debug)]
-pub struct Job {
-    /// Job id (`j1`, `j2`, …); also its spool directory name.
-    pub id: String,
-    /// The spec as submitted (and spooled).
-    pub spec: JobSpec,
-    /// The validated circuit (built once at submit/restart).
+pub struct Payload {
+    /// The validated circuit.
     pub circuit: Netlist,
-    /// The seeded test bench derived from the spec.
+    /// The seeded test bench.
     pub testbench: Testbench,
-    status: Mutex<JobStatus>,
-    cancel: Mutex<CancelToken>,
-    /// Faults graded inside the *current* round (per-chunk hook feed);
-    /// folded into `status` and reset at every round boundary.
-    live_faults: AtomicUsize,
-    subscribers: Mutex<Vec<mpsc::Sender<String>>>,
 }
 
-impl Job {
-    /// Validates a spec into a runnable job: builds the circuit
-    /// (registry lookup or inline import), derives the test bench, and
-    /// sizes the fault space.
+impl Payload {
+    /// Builds the circuit (registry lookup or inline import) and the
+    /// test bench a spec describes.
     ///
     /// # Errors
     ///
     /// A human-readable message for an unknown registry name, a
     /// netlist that fails to import, or a circuit with no flip-flops
     /// (nothing to grade).
-    pub fn build(id: String, spec: JobSpec) -> Result<Job, String> {
+    pub fn build(spec: &JobSpec) -> Result<Payload, String> {
         let circuit = match &spec.circuit {
             CircuitSource::Registry(name) => registry::build(name)
                 .ok_or_else(|| format!("unknown registry circuit {name:?}"))?,
@@ -116,19 +106,60 @@ impl Job {
             return Err(format!("circuit {:?} has no flip-flops to grade", circuit.name()));
         }
         let testbench = Testbench::random(circuit.num_inputs(), spec.vectors, spec.seed);
-        let space = circuit.num_ffs() * testbench.num_cycles();
+        Ok(Payload { circuit, testbench })
+    }
+}
+
+/// One job held by the scheduler: immutable identity plus live state.
+#[derive(Debug)]
+pub struct Job {
+    /// Job id (`j1`, `j2`, …); also its spool directory name.
+    pub id: String,
+    /// The spec as submitted (and spooled).
+    pub spec: JobSpec,
+    /// The built circuit and test bench while the job can still grade:
+    /// a terminal status releases it, and [`payload`](Self::payload)
+    /// rebuilds it from the spec if a resumed job needs it again.
+    payload: Mutex<Option<Arc<Payload>>>,
+    status: Mutex<JobStatus>,
+    cancel: Mutex<CancelToken>,
+    /// Faults graded inside the *current* round (per-chunk hook feed);
+    /// folded into `status` and reset at every round boundary.
+    live_faults: AtomicUsize,
+    subscribers: Mutex<Vec<mpsc::Sender<String>>>,
+}
+
+impl Job {
+    /// Validates a spec into a runnable job: builds its payload and
+    /// sizes the fault space.
+    ///
+    /// # Errors
+    ///
+    /// The [`Payload::build`] message for a spec that does not build.
+    pub fn build(id: String, spec: JobSpec) -> Result<Job, String> {
+        let payload = Payload::build(&spec)?;
+        let space = payload.circuit.num_ffs() * payload.testbench.num_cycles();
         let faults_total = spec.sample.map_or(space, |n| n.min(space));
-        Ok(Job {
+        let job = Job::unbuilt(id, spec);
+        job.update_status(|st| st.faults_total = faults_total);
+        *job.payload.lock().expect("payload lock") = Some(Arc::new(payload));
+        Ok(job)
+    }
+
+    /// A job whose payload is not built — a finished job restored from
+    /// the spool as history, whose status comes from its `result.json`.
+    #[must_use]
+    pub(crate) fn unbuilt(id: String, spec: JobSpec) -> Job {
+        Job {
             id,
             spec,
-            circuit,
-            testbench,
+            payload: Mutex::new(None),
             status: Mutex::new(JobStatus {
                 state: JobState::Queued,
                 chunks_done: 0,
                 chunks_total: 0,
                 faults_done: 0,
-                faults_total,
+                faults_total: 0,
                 summary: GradingSummary::new(),
                 digest: None,
                 error: None,
@@ -137,7 +168,29 @@ impl Job {
             cancel: Mutex::new(CancelToken::new()),
             live_faults: AtomicUsize::new(0),
             subscribers: Mutex::new(Vec::new()),
-        })
+        }
+    }
+
+    /// The circuit and test bench this job grades, rebuilt from the
+    /// spec if a terminal state released them.
+    ///
+    /// # Errors
+    ///
+    /// The [`Payload::build`] message if the spec no longer builds.
+    pub fn payload(&self) -> Result<Arc<Payload>, String> {
+        let mut slot = self.payload.lock().expect("payload lock");
+        if let Some(p) = &*slot {
+            return Ok(Arc::clone(p));
+        }
+        let p = Arc::new(Payload::build(&self.spec)?);
+        *slot = Some(Arc::clone(&p));
+        Ok(p)
+    }
+
+    /// True while the job holds its built payload.
+    #[cfg(test)]
+    pub(crate) fn holds_payload(&self) -> bool {
+        self.payload.lock().expect("payload lock").is_some()
     }
 
     /// A copy of the round-boundary status.
@@ -146,9 +199,15 @@ impl Job {
         self.status.lock().expect("status lock").clone()
     }
 
-    /// Runs `f` on the status under its lock.
+    /// Runs `f` on the status under its lock. A transition into a
+    /// terminal state (done, failed, cancelled) releases the payload:
+    /// a finished job keeps its verdicts, not its circuit.
     pub fn update_status(&self, f: impl FnOnce(&mut JobStatus)) {
-        f(&mut self.status.lock().expect("status lock"));
+        let mut st = self.status.lock().expect("status lock");
+        f(&mut st);
+        if st.state.is_terminal() {
+            *self.payload.lock().expect("payload lock") = None;
+        }
     }
 
     /// Adds faults from the current round's per-chunk hook.
@@ -297,8 +356,9 @@ mod tests {
     #[test]
     fn build_validates_registry_and_inline() {
         let job = Job::build("j1".into(), JobSpec::registry("s27")).unwrap();
-        assert!(job.circuit.num_ffs() > 0);
-        assert_eq!(job.status().faults_total, job.circuit.num_ffs() * 100);
+        let payload = job.payload().unwrap();
+        assert!(payload.circuit.num_ffs() > 0);
+        assert_eq!(job.status().faults_total, payload.circuit.num_ffs() * 100);
 
         assert!(Job::build("j2".into(), JobSpec::registry("nope")).is_err());
 
@@ -332,6 +392,24 @@ mod tests {
         assert_eq!(v.get("event").and_then(json::Value::as_str), Some("done"));
         assert!(line.contains("000000000000abcd"));
         assert!(rx.recv().is_err(), "stream must end after the replay");
+    }
+
+    #[test]
+    fn terminal_jobs_release_their_payload() {
+        for state in [JobState::Done, JobState::Failed, JobState::Cancelled] {
+            let job = Job::build("j1".into(), JobSpec::registry("s27")).unwrap();
+            assert!(job.holds_payload(), "a fresh job is built");
+            job.update_status(|st| st.state = JobState::Running);
+            assert!(job.holds_payload(), "a running job keeps its payload");
+            job.update_status(|st| st.state = state);
+            assert!(!job.holds_payload(), "a {} job holds no payload", state.label());
+            // A resumed job rebuilds it on demand.
+            let rebuilt = job.payload().unwrap();
+            assert_eq!(rebuilt.circuit.name(), "s27");
+            assert!(job.holds_payload());
+        }
+        let history = Job::unbuilt("j2".into(), JobSpec::registry("s27"));
+        assert!(!history.holds_payload(), "history jobs never build");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod spool;
 
 pub use bench::{ServeBenchRecord, ServeBenchReport, SERVE_BENCH_SCHEMA};
 pub use client::{Client, ClientError};
-pub use job::{build_plan, Job, JobState, JobStatus};
+pub use job::{build_plan, Job, JobState, JobStatus, Payload};
 pub use proto::{CircuitSource, JobSpec, ProtoError, Request, SERVE_SCHEMA};
 pub use server::{Server, ServerConfig, DEFAULT_ADDR, DEFAULT_WORKERS, MAX_REQUEST_BYTES};
 pub use spool::{Spool, SpooledJob};
@@ -71,8 +71,8 @@ use seugrade_faultsim::GradingSummary;
 ///
 /// Propagates spec-validation failures (unknown circuit, import error).
 pub fn reference_run(spec: &JobSpec) -> Result<(u64, GradingSummary), String> {
-    let job = Job::build("ref".to_owned(), spec.clone())?;
-    let plan = build_plan(&job.spec, &job.circuit, &job.testbench);
+    let payload = Payload::build(spec)?;
+    let plan = build_plan(spec, &payload.circuit, &payload.testbench);
     let engine = Engine::new(&plan);
     let run = engine
         .run_streamed_resumable_with::<CampaignSink>(

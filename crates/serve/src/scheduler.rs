@@ -16,7 +16,9 @@
 //! cached across rounds: a plan borrows its circuit, so caching would
 //! need a self-referential job — and one golden replay per round is
 //! noise next to the thousands of fault windows the round grades.
-//! Queued jobs therefore hold only their netlist and test bench.
+//! Queued jobs therefore hold only their netlist and test bench, and a
+//! terminal job not even those: it keeps its verdicts, and a `resume`
+//! rebuilds the payload from the spec.
 
 use std::collections::VecDeque;
 use std::io;
@@ -70,11 +72,17 @@ impl Scheduler {
         // its checkpoint and mark it terminal with its result.
         let (spooled_jobs, max_num) = core.spool.scan()?;
         for spooled in spooled_jobs {
-            let job = match Job::build(spooled.id.clone(), spooled.spec) {
-                Ok(job) => Arc::new(job),
-                Err(e) => {
-                    eprintln!("spool: cannot rebuild {}: {e}", spooled.id);
-                    continue;
+            // Finished jobs are history: their status is their result,
+            // so their circuit is never built.
+            let job = if spooled.result.is_some() {
+                Arc::new(Job::unbuilt(spooled.id.clone(), spooled.spec))
+            } else {
+                match Job::build(spooled.id.clone(), spooled.spec) {
+                    Ok(job) => Arc::new(job),
+                    Err(e) => {
+                        eprintln!("spool: cannot rebuild {}: {e}", spooled.id);
+                        continue;
+                    }
                 }
             };
             if let Some(result) = &spooled.result {
@@ -306,7 +314,8 @@ struct RoundReport {
 /// Builds the plan and engine for `job` and grades one round through
 /// the resumable path (checkpointing to the job's spool).
 fn grade_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> Result<RoundReport, String> {
-    let plan = build_plan(&job.spec, &job.circuit, &job.testbench);
+    let payload = job.payload()?;
+    let plan = build_plan(&job.spec, &payload.circuit, &payload.testbench);
     let engine = Engine::new(&plan);
     let ckpt = core.spool.ckpt_path(&job.id);
     let mut opts = ResumeOptions::checkpoint_to(&ckpt);
@@ -327,8 +336,8 @@ fn grade_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> Result<RoundReport, Str
     let timings = complete.then(|| {
         run.sink.finish_timings(
             &TimingConfig::default(),
-            job.testbench.num_cycles(),
-            job.circuit.num_ffs(),
+            payload.testbench.num_cycles(),
+            payload.circuit.num_ffs(),
         )
     });
     Ok(RoundReport {
@@ -492,6 +501,13 @@ mod tests {
         assert_eq!(st.digest, Some(digest));
         assert_eq!(st.summary, summary);
         assert!(root.join(&job.id).join("result.json").exists());
+        assert!(!job.holds_payload(), "a finished job keeps its verdicts, not its circuit");
+        sched.stop();
+        // The next daemon life restores the job as history, unbuilt.
+        let sched = Scheduler::start(Spool::open(&root).unwrap(), 1).unwrap();
+        let history = sched.job(&job.id).expect("restored job");
+        assert_eq!(history.status().digest, Some(digest));
+        assert!(!history.holds_payload(), "history jobs are never built");
         sched.stop();
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -507,6 +523,7 @@ mod tests {
         let _ = sched.cancel(&job.id);
         let st = wait_terminal(&job);
         assert_eq!(st.state, JobState::Cancelled);
+        assert!(!job.holds_payload(), "a cancelled job releases its payload");
         sched.resume(&job.id).unwrap();
         let st = wait_terminal(&job);
         assert_eq!(st.state, JobState::Done);

@@ -140,6 +140,20 @@ impl DiffScratch {
     pub fn cone_gates(&self) -> usize {
         self.cone_gates
     }
+
+    /// Retires `lanes`: masks their bits out of every deviation word
+    /// and drops the slots left clean. A retired lane then reads as the
+    /// golden machine, so it stops feeding the cone the next
+    /// [`diff_cycle`](CompiledSim::diff_cycle) walks. Call between
+    /// cycles, for lanes whose verdict is already decided.
+    pub fn retire(&mut self, lanes: u64) {
+        let DiffScratch { dev, touched, .. } = self;
+        touched.retain(|&slot| {
+            let d = &mut dev[slot as usize];
+            *d &= !lanes;
+            *d != 0
+        });
+    }
 }
 
 impl CompiledSim {
@@ -576,6 +590,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn retire_masks_lanes_and_drops_clean_slots() {
+        let n = gadget();
+        let sim = crate::CompiledSim::new(&n);
+        let mut sc = sim.new_diff_scratch();
+        sim.diff_seed(&mut sc, FfIndex::new(0), 1);
+        sim.diff_seed(&mut sc, FfIndex::new(0), 5);
+        sim.diff_seed(&mut sc, FfIndex::new(2), 1);
+        assert_eq!(sc.active_signals(), 2);
+        // Lane 1 leaves ff 2 clean; ff 0 keeps lane 5.
+        sc.retire(1 << 1);
+        assert_eq!(sc.active_signals(), 1);
+        sc.retire(1 << 5);
+        assert_eq!(sc.active_signals(), 0);
     }
 
     #[test]

@@ -90,19 +90,22 @@ pub use trace::{GoldenTrace, TracePolicy, TraceWindow, WindowCache};
 ///
 /// A kernel is a switch point in one chunk walk. Every chunk seeds its
 /// flips as deviations and walks differential cycles until its kernel's
-/// switch point, then leaves deviation space for good and finishes on
-/// the full-evaluation tape, with lane 63 (never a fault lane) as the
-/// golden companion:
+/// switch point, then leaves deviation space and continues on the
+/// full-evaluation tape, with lane 63 (never a fault lane) as the
+/// golden companion, until the chunk ends or jumps to its next pending
+/// injection:
 ///
-/// - [`Tape`](Kernel::Tape) — switches at the injection cycle: full
+/// - [`Tape`](Kernel::Tape) — switches at once: full
 ///   evaluation through the specialized SoA opcode runs (branch-free
 ///   inner loops, `Not`/`Buf` folded into consumer pins).
 /// - [`Differential`](Kernel::Differential) — never switches:
 ///   deviation-cone evaluation, where only gates reachable from the
 ///   dirty frontier run and an empty frontier proves reconvergence
 ///   without a register scan.
-/// - [`Auto`](Kernel::Auto) — switches after the first cycle whose cone
-///   evaluates more than 1/4 of the netlist's gates. The threshold is
+/// - [`Auto`](Kernel::Auto) — switches after a cycle whose cone
+///   evaluates more than 1/4 of the netlist's gates and retires no
+///   decided lane (a lane that just failed no longer feeds the next
+///   cycle's cone, so that cycle is no evidence). The threshold is
 ///   one-way and measured: at 1/8 sampled `s5378g` campaigns lost ~30%
 ///   of their throughput (latent tails switched early and paid
 ///   full-netlist cost to the horizon); at 1/2 the exhaustive `viper`

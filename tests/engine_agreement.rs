@@ -417,7 +417,7 @@ fn cycle_major_walk_mostly_hits_the_window_cache() {
 }
 
 /// The sampled streaming path reconstructs each golden span exactly
-/// once: sparse same-cycle chunks seed from the cache instead of
+/// once: sparse span-packed chunks seed from the cache instead of
 /// re-replaying the span per chunk (the old per-chunk reconstruction
 /// tax this suite pins shut).
 #[test]

@@ -1,5 +1,5 @@
 //! Hostile-input fuzzing: every grammar the workspace reads —
-//! `seugrade-campaign-ckpt/v1` checkpoints, ISCAS `.bench`, structural
+//! `seugrade-campaign-ckpt/v2` checkpoints, ISCAS `.bench`, structural
 //! BLIF, structural Verilog, the VHDL subset, and the
 //! `seugrade-serve/v1` wire protocol — must reject truncated or
 //! mutated input with a structured, line-numbered error. Never a
@@ -409,6 +409,61 @@ fn rejected_checkpoint_resumes_nothing() {
         .expect_err("garbage must not resume");
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, EngineError::Resume(ResumeError::Corrupt { line: 1, .. })), "{err}");
+}
+
+/// A well-formed `v1` checkpoint — valid checksum, matching plan — was
+/// cut under the per-cycle chunk layout, so its cursor means nothing
+/// under span-packed chunks even where the chunk counts agree. It must
+/// be rejected at its header with a structured error, never resumed.
+#[test]
+fn v1_checkpoints_are_rejected_not_resumed() {
+    let circuit = registry::build("b06s").expect("registered");
+    let tb = Testbench::random(circuit.num_inputs(), 24, 5);
+    let plan = CampaignPlan::builder(&circuit, &tb)
+        .sampled(60, 3)
+        .trace_policy(TracePolicy::Checkpoint(4))
+        .policy(ShardPolicy { threads: 1, serial_below: 0 })
+        .build();
+    let engine = Engine::new(&plan);
+    let path = std::env::temp_dir()
+        .join(format!("seugrade-hostile-v1-{}.ckpt", std::process::id()));
+    let mut opts = ResumeOptions::checkpoint_to(&path);
+    opts.every = 1;
+    opts.limit = Some(1);
+    let first = engine
+        .run_streamed_resumable_with::<StreamAccumulator>(&plan, &opts)
+        .expect("one round");
+    assert!(first.interrupted);
+    let v2 = std::fs::read_to_string(&path).expect("checkpoint written");
+    assert!(v2.starts_with(CKPT_SCHEMA));
+
+    // The same file as a v1 writer would have sealed it: old header,
+    // FNV-1a 64 checksum recomputed over the body.
+    let mut lines: Vec<&str> = v2.lines().collect();
+    lines.pop();
+    lines[0] = "seugrade-campaign-ckpt/v1";
+    let body = lines.join("\n");
+    let sum = body
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3));
+    std::fs::write(&path, format!("{body}\nend {sum:016x}\n")).expect("write v1");
+    let err = engine
+        .run_streamed_resumable_with::<StreamAccumulator>(&plan, &ResumeOptions::resume_from(&path))
+        .expect_err("a v1 checkpoint must not resume");
+    assert!(
+        matches!(&err, EngineError::Resume(ResumeError::Corrupt { line: 1, msg }) if msg.contains("unrecognized schema")),
+        "{err}"
+    );
+
+    // The untouched v2 file resumes to the uninterrupted digest.
+    std::fs::write(&path, &v2).expect("restore v2");
+    let resumed = engine
+        .run_streamed_resumable_with::<StreamAccumulator>(&plan, &ResumeOptions::resume_from(&path))
+        .expect("v2 resumes");
+    std::fs::remove_file(&path).ok();
+    let (whole, _) = engine.try_run_streamed_with::<StreamAccumulator>(&plan).expect("whole run");
+    assert!(resumed.is_complete());
+    assert_eq!(resumed.sink.digest(), whole.digest());
 }
 
 /// Live-daemon leg of the protocol contract: garbage lines on a real

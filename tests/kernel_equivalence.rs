@@ -126,6 +126,73 @@ fn kernels_agree_on_mbu_lanes() {
     }
 }
 
+/// A chunk is a span, not a cycle: sparse sampled SEU and MBU sources
+/// pack up to 63 lanes across the injection cycles of one golden span,
+/// each lane pending until the walk reaches its own cycle. Every kernel,
+/// trace policy, collapse mode and thread count still lands on the
+/// serial verdicts, in fewer shards than the sources have injection
+/// cycles.
+#[test]
+fn span_packed_sparse_sources_agree_with_serial() {
+    for (name, cycles, count) in [("b06s", 40, 90), ("b13s", 40, 160), ("viper", 24, 300)] {
+        let circuit = registry::build(name).expect("registered");
+        let tb = Testbench::random(circuit.num_inputs(), cycles, 79);
+        let seus = FaultList::sampled(circuit.num_ffs(), cycles, count, 79);
+        let mbus: Vec<MultiFault> = MultiFault::adjacent_pairs(circuit.num_ffs(), cycles, 2)
+            .into_iter()
+            .step_by(circuit.num_ffs() * cycles / count)
+            .collect();
+        let serial = Grader::new(&circuit, &tb);
+        let seu_digest =
+            StreamAccumulator::digest_of(seus.as_slice(), &serial.run_serial(seus.as_slice()));
+        let mbu_reference = serial.run_multi(&mbus);
+        let distinct_cycles = |cycles: &mut Vec<u32>| {
+            cycles.sort_unstable();
+            cycles.dedup();
+            cycles.len()
+        };
+        let seu_cycles = distinct_cycles(&mut seus.iter().map(|f| f.cycle).collect());
+        let mbu_cycles = distinct_cycles(&mut mbus.iter().map(Injection::cycle).collect());
+        for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(4), TracePolicy::Checkpoint(64)] {
+            let engine = Engine::new(&CampaignPlan::builder(&circuit, &tb).trace_policy(policy).build());
+            let seu_shards = engine.grader().span_order(seus.as_slice()).num_chunks();
+            let mbu_shards = engine.grader().span_order(&mbus).num_chunks();
+            assert!(seu_shards < seu_cycles, "{name} {policy}: {seu_shards} SEU shards");
+            assert!(mbu_shards < mbu_cycles, "{name} {policy}: {mbu_shards} MBU shards");
+            for kernel in Kernel::ALL {
+                for collapse in [Collapse::Early, Collapse::Horizon] {
+                    for threads in [1usize, 3] {
+                        let label = format!(
+                            "{name}: kernel {} {} collapse {} @ {threads} threads",
+                            kernel.label(),
+                            policy.label(),
+                            collapse.label(),
+                        );
+                        let plan = |source| {
+                            CampaignPlan::builder(&circuit, &tb)
+                                .source(source)
+                                .trace_policy(policy)
+                                .collapse(collapse)
+                                .kernel(kernel)
+                                .policy(ShardPolicy::with_threads(threads))
+                                .build()
+                        };
+                        let seu = plan(FaultSource::List(seus.clone()));
+                        let (acc, stats) =
+                            engine.try_run_streamed_with::<StreamAccumulator>(&seu).expect("streamed run");
+                        assert_eq!(acc.digest(), seu_digest, "SEU {label}");
+                        assert_eq!(stats.shards, seu_shards, "SEU shards {label}");
+                        let mbu = plan(FaultSource::Multi(mbus.clone()));
+                        let run = engine.run(&mbu);
+                        assert_eq!(run.outcomes(), mbu_reference.as_slice(), "MBU {label}");
+                        assert_eq!(run.stats().shards, mbu_shards, "MBU shards {label}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// `Kernel::Auto` grades identically to every concrete kernel — the
 /// resolver may pick any of them without changing a verdict.
 #[test]
